@@ -34,9 +34,10 @@ Layout
   a search point) builds predecessor lists over these indices — the
   precedence, processor-order, and per-port event-list edges of the
   one-port model; ``propagate`` runs one forward pass over
-  topologically ordered int arrays; ``patch`` re-propagates only
-  downstream of an invalidated node set into generation-stamped
-  overlays and ``apply`` folds the overlay back in.
+  topologically ordered int arrays (the one-shot pass of replay and the
+  online engine runs compiled under the ``cext`` backend); ``patch``
+  re-propagates only downstream of an invalidated node set into
+  generation-stamped overlays and ``apply`` folds the overlay back in.
 
 Who routes through the kernel
 -----------------------------

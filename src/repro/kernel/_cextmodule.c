@@ -7,14 +7,17 @@
  * memo), and the all-processor candidate sweep with its
  * maxpf/frontier/in-trial pruning — transliterated from
  * kernel/builder.py, models/one_port.py, models/variants.py,
- * models/macro_dataflow.py and heuristics/base.py.
+ * models/macro_dataflow.py and heuristics/base.py; plus the timed
+ * kernel's one-shot forward pass (TimedKernel.propagate_kahn in
+ * kernel/timed.py) behind replay, plan install and online
+ * re-prediction.
  *
  * Bit-identity contract: every float computation below performs the
  * SAME IEEE-754 double operations in the SAME order as the Python
- * source it mirrors (CPython floats are C doubles), so schedules are
- * bit-identical to the python and numpy backends.  When editing,
- * change the Python reference first, then mirror it here — never
- * "optimize" an expression into a different association.
+ * source it mirrors (CPython floats are C doubles), so schedules and
+ * propagated times are bit-identical to the python and numpy backends.
+ * When editing, change the Python reference first, then mirror it
+ * here — never "optimize" an expression into a different association.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -1974,6 +1977,332 @@ static PyTypeObject Engine_Type = {
 };
 
 /* ------------------------------------------------------------------ */
+/* OneShot: TimedKernel.propagate_kahn over a packed successor CSR    */
+/* ------------------------------------------------------------------ */
+
+/* Built once per kernel from its from_decisions arrays.  Each node's
+ * row lists its constraint successors in the order the Python loop
+ * walks them (graph successors, then the processor / send / receive
+ * next pointers), so the LIFO ready stack pops the same node sequence
+ * and every node gets the same float max and the same single + . */
+typedef struct {
+    PyObject_HEAD
+    Py_ssize_t n;         /* tasks */
+    Py_ssize_t size;      /* nodes: n tasks + m transfer slots */
+    Py_ssize_t total;     /* live nodes: tasks + active slots */
+    Py_ssize_t nentries;
+    Py_ssize_t *ptr;      /* size + 1 */
+    Py_ssize_t *adj;      /* ptr[size] successor node indices */
+    Py_ssize_t *indeg;    /* size: constraint in-degrees */
+    Py_ssize_t *entries;  /* in-degree-zero base entries, in base order */
+} OneShotObject;
+
+static void
+OneShot_dealloc(OneShotObject *self)
+{
+    PyMem_Free(self->ptr);
+    PyMem_Free(self->adj);
+    PyMem_Free(self->indeg);
+    PyMem_Free(self->entries);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* index arrays are bounds-checked here once, so run() need not */
+static int
+check_range(const Py_ssize_t *a, Py_ssize_t len, Py_ssize_t lo,
+            Py_ssize_t hi, const char *name)
+{
+    for (Py_ssize_t i = 0; i < len; i++) {
+        if (a[i] < lo || a[i] >= hi) {
+            PyErr_Format(PyExc_ValueError, "%s[%zd] = %zd out of range", name,
+                         i, a[i]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static PyObject *
+OneShot_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    Py_ssize_t n, m;
+    PyObject *sptr_o, *seix_o, *edst_o, *nproc_o, *nsend_o, *nrecv_o;
+    PyObject *indeg_o, *entries_o;
+    Py_buffer active;
+    if (!PyArg_ParseTuple(args, "nnOOOy*OOOOO:OneShot", &n, &m, &sptr_o,
+                          &seix_o, &edst_o, &active, &nproc_o, &nsend_o,
+                          &nrecv_o, &indeg_o, &entries_o))
+        return NULL;
+    OneShotObject *self = NULL;
+    Py_ssize_t *tmp = NULL;
+    PyObject *entries = NULL;
+    if (n < 0 || m < 0 || active.len != m) {
+        PyErr_SetString(PyExc_ValueError, "bad one-shot dimensions");
+        goto fail;
+    }
+    const unsigned char *act = active.buf;
+    Py_ssize_t size = n + m;
+    /* scratch: succ_ptr (n+1), succ_eix, edst, next_send, next_recv (m
+     * each), next_proc (n) */
+    tmp = PyMem_Malloc((size_t)(2 * n + 1 + 4 * m) * sizeof(Py_ssize_t));
+    if (tmp == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    Py_ssize_t *sptr = tmp, *seix = sptr + n + 1, *edst = seix + m;
+    Py_ssize_t *nsend = edst + m, *nrecv = nsend + m, *nproc = nrecv + m;
+    if (fill_ssizes(sptr_o, sptr, n + 1, "succ_ptr") < 0 ||
+        fill_ssizes(seix_o, seix, m, "succ_eix") < 0 ||
+        fill_ssizes(edst_o, edst, m, "edst") < 0 ||
+        fill_ssizes(nproc_o, nproc, n, "next_proc") < 0 ||
+        fill_ssizes(nsend_o, nsend, m, "next_send") < 0 ||
+        fill_ssizes(nrecv_o, nrecv, m, "next_recv") < 0)
+        goto fail;
+    for (Py_ssize_t i = 0; i <= n; i++) {
+        if (sptr[i] < 0 || sptr[i] > m || (i && sptr[i] < sptr[i - 1])) {
+            PyErr_SetString(PyExc_ValueError, "succ_ptr not monotone");
+            goto fail;
+        }
+    }
+    /* next pointers: any negative value means "none" */
+    if (check_range(seix, sptr[n], 0, m, "succ_eix") < 0 ||
+        check_range(edst, m, 0, n, "edst") < 0 ||
+        check_range(nproc, n, PY_SSIZE_T_MIN, size, "next_proc") < 0 ||
+        check_range(nsend, m, PY_SSIZE_T_MIN, size, "next_send") < 0 ||
+        check_range(nrecv, m, PY_SSIZE_T_MIN, size, "next_recv") < 0)
+        goto fail;
+
+    self = (OneShotObject *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        goto fail;
+    self->n = n;
+    self->size = size;
+    Py_ssize_t cnt = sptr[n], live = n;
+    for (Py_ssize_t i = 0; i < n; i++)
+        cnt += nproc[i] >= 0;
+    for (Py_ssize_t e = 0; e < m; e++) {
+        if (act[e]) {
+            live++;
+            cnt += 1 + (nsend[e] >= 0) + (nrecv[e] >= 0);
+        }
+    }
+    self->total = live;
+    self->ptr = PyMem_Malloc((size_t)(size + 1) * sizeof(Py_ssize_t));
+    self->adj = PyMem_Malloc((size_t)(cnt ? cnt : 1) * sizeof(Py_ssize_t));
+    self->indeg = PyMem_Malloc((size_t)(size ? size : 1) * sizeof(Py_ssize_t));
+    if (!self->ptr || !self->adj || !self->indeg) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if (fill_ssizes(indeg_o, self->indeg, size, "indeg") < 0)
+        goto fail;
+    Py_ssize_t *ptr = self->ptr, *adj = self->adj, k = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        ptr[i] = k;
+        for (Py_ssize_t j = sptr[i]; j < sptr[i + 1]; j++) {
+            Py_ssize_t e = seix[j];
+            adj[k++] = act[e] ? n + e : edst[e];
+        }
+        if (nproc[i] >= 0)
+            adj[k++] = nproc[i];
+    }
+    for (Py_ssize_t e = 0; e < m; e++) {
+        ptr[n + e] = k;
+        if (act[e]) {
+            adj[k++] = edst[e];
+            if (nsend[e] >= 0)
+                adj[k++] = nsend[e];
+            if (nrecv[e] >= 0)
+                adj[k++] = nrecv[e];
+        }
+    }
+    ptr[size] = k;
+
+    entries = PySequence_Fast(entries_o, "base_entries must be a sequence");
+    if (entries == NULL)
+        goto fail;
+    Py_ssize_t ne = PySequence_Fast_GET_SIZE(entries);
+    self->entries = PyMem_Malloc((size_t)(ne ? ne : 1) * sizeof(Py_ssize_t));
+    if (self->entries == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    if (fill_ssizes(entries, self->entries, ne, "base_entries") < 0 ||
+        check_range(self->entries, ne, 0, size, "base_entries") < 0)
+        goto fail;
+    /* the ready list starts as the entries with no order predecessor */
+    Py_ssize_t kept = 0;
+    for (Py_ssize_t j = 0; j < ne; j++) {
+        if (self->indeg[self->entries[j]] == 0)
+            self->entries[kept++] = self->entries[j];
+    }
+    self->nentries = kept;
+    Py_DECREF(entries);
+    PyMem_Free(tmp);
+    PyBuffer_Release(&active);
+    return (PyObject *)self;
+
+fail:
+    Py_XDECREF(entries);
+    Py_XDECREF(self);
+    PyMem_Free(tmp);
+    PyBuffer_Release(&active);
+    return NULL;
+}
+
+static int
+check_out(PyObject *o, Py_ssize_t size, const char *name)
+{
+    if (o == Py_None)
+        return 0;
+    if (!PyList_Check(o)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a list, not %.100s", name,
+                     Py_TYPE(o)->tp_name);
+        return -1;
+    }
+    if (PyList_GET_SIZE(o) != size) {
+        PyErr_Format(PyExc_ValueError, "%s has %zd entries, expected %zd",
+                     name, PyList_GET_SIZE(o), size);
+        return -1;
+    }
+    return 0;
+}
+
+/* PyList_SetItem steals f and re-checks the bounds: a replaced item's
+ * finalizer may have shrunk the list. */
+static inline int
+set_float(PyObject *list, Py_ssize_t i, double v)
+{
+    PyObject *f = PyFloat_FromDouble(v);
+    if (f == NULL)
+        return -1;
+    return PyList_SetItem(list, i, f);
+}
+
+/* run(dur, start, finish) -> makespan.  start / finish are lists of
+ * size entries that receive the visited nodes' times, or None. */
+static PyObject *
+OneShot_run(OneShotObject *self, PyObject *args)
+{
+    PyObject *dur_o, *start, *finish;
+    if (!PyArg_ParseTuple(args, "OOO:run", &dur_o, &start, &finish))
+        return NULL;
+    const Py_ssize_t n = self->n, size = self->size;
+    PyObject *dur = PySequence_Fast(dur_o, "dur must be a sequence");
+    if (dur == NULL)
+        return NULL;
+    double *est = NULL;
+    Py_ssize_t *deg = NULL;
+    if (PySequence_Fast_GET_SIZE(dur) != size) {
+        PyErr_Format(PyExc_ValueError, "dur has %zd entries, expected %zd",
+                     PySequence_Fast_GET_SIZE(dur), size);
+        goto fail;
+    }
+    if (check_out(start, size, "out_start") < 0 ||
+        check_out(finish, size, "out_finish") < 0)
+        goto fail;
+    if (start == Py_None)
+        start = NULL;
+    if (finish == Py_None)
+        finish = NULL;
+    /* per-call scratch: est (size, zeroed) + task finishes (n); the
+     * in-degree countdown (size) + the ready stack (size + entries:
+     * each node is pushed at most once, entries at the start) */
+    est = PyMem_Calloc((size_t)(size + n + 1), sizeof(double));
+    deg = PyMem_Malloc((size_t)(2 * size + self->nentries + 1) *
+                       sizeof(Py_ssize_t));
+    if (est == NULL || deg == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    double *fin = est + size;
+    Py_ssize_t *stack = deg + size;
+    memcpy(deg, self->indeg, (size_t)size * sizeof(Py_ssize_t));
+    memcpy(stack, self->entries, (size_t)self->nentries * sizeof(Py_ssize_t));
+    const Py_ssize_t *ptr = self->ptr, *adj = self->adj;
+    Py_ssize_t top = self->nentries, done = 0;
+    while (top) {
+        Py_ssize_t node = stack[--top];
+        double s = est[node];
+        if (start && set_float(start, node, s) < 0)
+            goto fail;
+        /* re-read per node: a finalizer run above may have resized dur */
+        if (node >= PySequence_Fast_GET_SIZE(dur)) {
+            PyErr_SetString(PyExc_IndexError, "dur changed size");
+            goto fail;
+        }
+        PyObject *item = PySequence_Fast_GET_ITEM(dur, node);
+        double d;
+        if (PyFloat_Check(item)) {
+            d = PyFloat_AS_DOUBLE(item);
+        }
+        else if (PyLong_Check(item)) {
+            d = PyLong_AsDouble(item);
+            if (d == -1.0 && PyErr_Occurred())
+                goto fail;
+        }
+        else {
+            PyErr_Format(PyExc_TypeError,
+                         "dur entries must be int or float, not %.100s",
+                         Py_TYPE(item)->tp_name);
+            goto fail;
+        }
+        double f = s + d;
+        if (finish && set_float(finish, node, f) < 0)
+            goto fail;
+        if (node < n)
+            fin[node] = f;
+        done++;
+        for (Py_ssize_t k = ptr[node]; k < ptr[node + 1]; k++) {
+            Py_ssize_t nxt = adj[k];
+            if (f > est[nxt])
+                est[nxt] = f;
+            if (--deg[nxt] == 0)
+                stack[top++] = nxt;
+        }
+    }
+    if (done != self->total) {
+        PyErr_SetString(SCHED_ERR, "constraint DAG has a cycle: the decision "
+                                   "orders are inconsistent");
+        goto fail;
+    }
+    /* max(finish[:n], default=0.0): first element, then strictly greater */
+    double ms = 0.0;
+    if (n) {
+        ms = fin[0];
+        for (Py_ssize_t i = 1; i < n; i++)
+            if (fin[i] > ms)
+                ms = fin[i];
+    }
+    PyMem_Free(est);
+    PyMem_Free(deg);
+    Py_DECREF(dur);
+    return PyFloat_FromDouble(ms);
+
+fail:
+    PyMem_Free(est);
+    PyMem_Free(deg);
+    Py_DECREF(dur);
+    return NULL;
+}
+
+static PyMethodDef OneShot_methods[] = {
+    {"run", (PyCFunction)OneShot_run, METH_VARARGS, NULL},
+    {NULL}
+};
+
+static PyTypeObject OneShot_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.kernel._cext.OneShot",
+    .tp_basicsize = sizeof(OneShotObject),
+    .tp_dealloc = (destructor)OneShot_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Packed one-shot constraint DAG of one TimedKernel.",
+    .tp_methods = OneShot_methods,
+    .tp_new = OneShot_new,
+};
+
+/* ------------------------------------------------------------------ */
 /* module                                                             */
 /* ------------------------------------------------------------------ */
 
@@ -2029,7 +2358,8 @@ static struct PyModuleDef cext_module = {
 PyMODINIT_FUNC
 PyInit__cext(void)
 {
-    if (PyType_Ready(&Statics_Type) < 0 || PyType_Ready(&Engine_Type) < 0)
+    if (PyType_Ready(&Statics_Type) < 0 || PyType_Ready(&Engine_Type) < 0 ||
+        PyType_Ready(&OneShot_Type) < 0)
         return NULL;
     PyObject *mod = PyModule_Create(&cext_module);
     if (mod == NULL)
@@ -2043,6 +2373,12 @@ PyInit__cext(void)
     Py_INCREF(&Engine_Type);
     if (PyModule_AddObject(mod, "Engine", (PyObject *)&Engine_Type) < 0) {
         Py_DECREF(&Engine_Type);
+        Py_DECREF(mod);
+        return NULL;
+    }
+    Py_INCREF(&OneShot_Type);
+    if (PyModule_AddObject(mod, "OneShot", (PyObject *)&OneShot_Type) < 0) {
+        Py_DECREF(&OneShot_Type);
         Py_DECREF(mod);
         return NULL;
     }

@@ -1,18 +1,17 @@
 """Numpy implementations of the kernel's hot primitives (the array backend).
 
-Three primitives live here, all bit-identical to their pure-Python
-references in :mod:`repro.kernel.builder` / :mod:`repro.kernel.timed`:
+Two primitives live here, both bit-identical to their pure-Python
+reference in :mod:`repro.kernel.builder`:
 
 * :func:`np_row_next_fit` — :func:`~repro.kernel.builder.row_next_fit`
   over contiguous numpy start/end arrays;
 * :class:`GapRows` — gap-indexed row mirrors: per row, a block index of
   maximal free-gap lengths lets ``next_fit`` skip whole blocks that
   cannot fit the requested duration, making gap search sublinear on
-  long (5k+ interval) rows;
-* :func:`propagate_frontier` — the frontier-batched
-  :meth:`~repro.kernel.timed.TimedKernel.propagate_kahn`: each Kahn
-  level is processed as one vectorized ``maximum.at`` / in-degree
-  decrement instead of a per-node Python loop.
+  long (5k+ interval) rows.
+
+The backend accelerates construction only: it has no propagation of its
+own, so timed-kernel passes run the pure-Python loop under it.
 
 Exactness
 ---------
@@ -29,12 +28,6 @@ operands, no new arithmetic on the returned value.  The padding
 (:data:`GAP_PAD_REL`, a magnitude-relative slack far above one ulp)
 only ever *adds* candidates, so a true stop position is never skipped;
 see the tolerance audit in ``tests/kernel/test_array_backend.py``.
-
-The frontier propagation relies on unordered float ``max`` being exact:
-``np.maximum.at`` accumulates the same running maximum over the same
-finish values as the scalar fused max-into-decrement, in a different
-order — IEEE ``max`` is associative and commutative, so the meets are
-identical floats.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ from bisect import bisect_right
 
 import numpy as np
 
-from ..core.exceptions import SchedulingError
 from ..obs import current as _obs_current
 from .backends import KernelBackend, register_backend
 from .builder import NO_DIRTY, row_next_fit
@@ -383,116 +375,11 @@ class GapRows:
         return t
 
 
-# ----------------------------------------------------------------------
-# frontier-batched propagation
-# ----------------------------------------------------------------------
-def _succ_csr(tk):
-    """Flat CSR of the one-shot constraint DAG, cached on the kernel.
-
-    Safe to cache: ``from_decisions`` is the only writer of the
-    ``active`` / next-pointer arrays, and it builds them exactly once.
-    """
-    csr = tk._succ_csr
-    if csr is not None:
-        return csr
-    st = tk.statics
-    n, m = st.num_tasks, st.num_edges
-    next_proc, next_send, next_recv = tk.next_proc, tk.next_send, tk.next_recv
-    if next_proc is None:
-        raise SchedulingError("propagate requires the one-shot form (from_decisions)")
-    active, edst, srows = tk.active, st.edst, st.succ_rows
-    N = n + m
-    ptr = np.zeros(N + 1, dtype=np.intp)
-    flat: list[int] = []
-    append = flat.append
-    for i in range(n):
-        for e in srows[i]:
-            append(n + e if active[e] else edst[e])
-        nxt = next_proc[i]
-        if nxt >= 0:
-            append(nxt)
-        ptr[i + 1] = len(flat)
-    for e in range(m):
-        if active[e]:
-            append(edst[e])
-            nxt = next_send[e]
-            if nxt >= 0:
-                append(nxt)
-            nxt = next_recv[e]
-            if nxt >= 0:
-                append(nxt)
-        ptr[n + e + 1] = len(flat)
-    csr = (ptr, np.array(flat, dtype=np.intp), np.array(tk.indeg, dtype=np.int64))
-    tk._succ_csr = csr
-    return csr
-
-
-def propagate_frontier(tk, dur=None, out_start=None, out_finish=None) -> float:
-    """Frontier-batched :meth:`~repro.kernel.timed.TimedKernel.propagate_kahn`.
-
-    Identical semantics and floats: the same running maximum over the
-    same finish values (unordered IEEE ``max`` is exact), the same
-    single ``start + dur`` addition, the same cycle check, and the same
-    write-only-processed-nodes contract for ``out_start``/``out_finish``
-    overrides.
-    """
-    st = tk.statics
-    n = st.num_tasks
-    ptr, adj, indeg0 = _succ_csr(tk)
-    N = indeg0.shape[0]
-    dur_np = np.asarray(tk.dur if dur is None else dur, dtype=np.float64)
-    indeg = indeg0.copy()
-    est = np.zeros(N)
-    frontier = np.array(
-        [x for x in st.base_entries if not indeg0[x]], dtype=np.intp
-    )
-    total = n + tk.num_active
-    done = 0
-    batches = []
-    finishes = []
-    while frontier.size:
-        f = est[frontier] + dur_np[frontier]
-        batches.append(frontier)
-        finishes.append(f)
-        done += frontier.size
-        cnt = ptr[frontier + 1] - ptr[frontier]
-        ntot = int(cnt.sum())
-        if not ntot:
-            break
-        # CSR gather of every successor of the frontier
-        idx = np.repeat(
-            ptr[frontier] - np.concatenate(([0], np.cumsum(cnt)[:-1])), cnt
-        ) + np.arange(ntot)
-        dsts = adj[idx]
-        np.maximum.at(est, dsts, np.repeat(f, cnt))
-        np.subtract.at(indeg, dsts, 1)
-        frontier = np.unique(dsts[indeg[dsts] == 0])
-    if done != total:
-        raise SchedulingError(
-            "constraint DAG has a cycle: the decision orders are inconsistent"
-        )
-    start = tk.start if out_start is None else out_start
-    finish = tk.finish if out_finish is None else out_finish
-    order = np.concatenate(batches) if batches else np.empty(0, dtype=np.intp)
-    svals = est[order].tolist()
-    fvals = np.concatenate(finishes).tolist() if finishes else []
-    for j, node in enumerate(order.tolist()):
-        start[node] = svals[j]
-        finish[node] = fvals[j]
-    ms = max(finish[:n], default=0.0)
-    if finish is tk.finish:
-        tk.makespan = ms
-    return ms
-
-
 @register_backend("numpy")
 class NumpyBackend(KernelBackend):
-    """Vectorized kernel primitives; schedules bit-identical to python."""
+    """Vectorized construction primitives; schedules bit-identical to python."""
 
     def state_class(self):
         from ..heuristics.state_array import ArraySchedulerState
 
         return ArraySchedulerState
-
-    def propagate(self, tk, dur=None, out_start=None, out_finish=None) -> float:
-        return propagate_frontier(tk, dur=dur, out_start=out_start, out_finish=out_finish)

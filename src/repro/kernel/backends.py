@@ -1,12 +1,13 @@
-"""Kernel backend registry: pure-Python vs vectorized implementations.
+"""Kernel backend registry: pure-Python, numpy and compiled implementations.
 
-The flat kernel has two interchangeable implementations of its hot
-primitives — the pure-Python reference (:mod:`repro.kernel.builder`,
-``SchedulerState``'s scalar sweeps) and the numpy array backend
-(:mod:`repro.kernel.array_backend`, ``ArraySchedulerState``).  Both
-produce **bit-identical** schedules; they differ only in constant
-factors (the array backend wins on large instances, the scalar path on
-tiny ones).
+The flat kernel's hot primitives have interchangeable implementations:
+the pure-Python reference (:mod:`repro.kernel.builder`,
+``SchedulerState``'s scalar sweeps, ``TimedKernel``'s Kahn loop), the
+numpy array backend (:mod:`repro.kernel.array_backend`,
+``ArraySchedulerState``: construction only) and the compiled ``cext``
+backend (:mod:`repro.kernel.cext_backend`: construction and the timed
+kernel's one-shot propagation).  All produce **bit-identical**
+schedules and times; they differ only in constant factors.
 
 Selection follows the models-registry pattern
 (:func:`repro.models.base.register_model`):
@@ -39,11 +40,12 @@ class KernelBackend:
     """One implementation of the kernel's hot primitives.
 
     ``state_class()`` returns the ``SchedulerState`` subclass that
-    flat-capable models are routed through (``None`` means the
-    pure-Python base class), and ``propagate(tk, ...)`` runs one
-    earliest-start propagation over a :class:`~repro.kernel.timed.TimedKernel`.
-    Classes are resolved lazily so registering a backend never imports
-    the heuristics layer at module-load time.
+    flat-capable models are routed through, and ``one_shot_pass(tk)``
+    the compiled form of a :class:`~repro.kernel.timed.TimedKernel`'s
+    one-shot forward pass, which ``TimedKernel.propagate_kahn`` builds
+    once per kernel; ``None`` from either means the pure-Python
+    reference.  Classes are resolved lazily so registering a backend
+    never imports the heuristics layer at module-load time.
     """
 
     name = ""
@@ -51,8 +53,8 @@ class KernelBackend:
     def state_class(self):
         return None
 
-    def propagate(self, tk, dur=None, out_start=None, out_finish=None) -> float:
-        return tk.propagate_kahn(dur=dur, out_start=out_start, out_finish=out_finish)
+    def one_shot_pass(self, tk):
+        return None
 
 
 _REGISTRY: dict[str, KernelBackend] = {}

@@ -3,8 +3,11 @@
 :mod:`repro.kernel._cext` is a hand-written CPython extension holding
 the hot sequential booking loop — the FlatBuilder primitives, the flat
 bookers of the four flat models, and the all-processor candidate sweep
-— as one C engine over typed arrays (see ``_cextmodule.c``; its header
-states the bit-identity contract with the pure-Python reference).
+— as one C engine over typed arrays, plus the timed kernel's one-shot
+forward pass (``OneShot``: the packed constraint DAG of one
+``TimedKernel``, behind replay, plan install and online re-prediction).
+See ``_cextmodule.c``; its header states the bit-identity contract with
+the pure-Python reference.
 
 This module is the *optional* half of the bargain: the extension is
 compiled opportunistically (``python setup.py build_ext --inplace``, or
@@ -12,13 +15,14 @@ transparently by ``pip install`` when a compiler is present) and the
 package must work identically without it.  Importing this module never
 fails — a missing or broken extension leaves :func:`cext_available`
 False, the registered backend falls back to the pure-Python state class
-with a single ``repro.kernel`` log warning, and the engine that
-actually ran is recorded in ``Schedule.state_impl`` (and surfaced by
-``python -m repro info --json`` under ``"backends"``).
+and Kahn loop with a single ``repro.kernel`` log warning, and the
+engine that actually ran is recorded in ``Schedule.state_impl`` (and
+surfaced by ``python -m repro info --json`` under ``"backends"``).
 """
 
 from __future__ import annotations
 
+from ..core.exceptions import PlatformError, SchedulingError, TimelineError
 from ..obs import get_logger as _get_logger
 from .backends import KernelBackend, register_backend
 
@@ -29,9 +33,7 @@ except ImportError as exc:  # extension not built on this interpreter
     _IMPORT_ERROR: str | None = str(exc)
 else:
     _IMPORT_ERROR = None
-    # Booking raises the package's own exception types from C.
-    from ..core.exceptions import PlatformError, SchedulingError, TimelineError
-
+    # Booking and propagation raise the package's own exception types from C.
     _cext._set_exceptions(SchedulingError, TimelineError, PlatformError)
 
 #: One fallback warning per process (mirrors the object-path warn-once
@@ -63,7 +65,7 @@ def _warn_fallback() -> None:
     _WARNED = True
     _LOG.warning(
         "kernel backend 'cext' selected but the compiled extension is not "
-        "available (%s): scheduling falls back to the pure-Python state. "
+        "available (%s): scheduling and propagation fall back to pure Python. "
         "Build it with 'python setup.py build_ext --inplace'. The active "
         "implementation is recorded in Schedule.state_impl.",
         _IMPORT_ERROR,
@@ -100,12 +102,8 @@ def engine_statics(kernel):
 
 @register_backend("cext")
 class CextBackend(KernelBackend):
-    """Compiled booking loop; schedules bit-identical to python/numpy.
-
-    ``propagate`` is inherited from the base class: the compiled tier
-    covers construction (the booking loop); replay propagation already
-    has the numpy frontier path and is not the 1k-task bottleneck.
-    """
+    """Compiled booking loop and one-shot propagation; schedules and
+    times bit-identical to python/numpy."""
 
     def state_class(self):
         if _cext is None:
@@ -114,3 +112,31 @@ class CextBackend(KernelBackend):
         from ..heuristics.state_cext import CextSchedulerState
 
         return CextSchedulerState
+
+    def one_shot_pass(self, tk):
+        """``tk``'s one-shot constraint DAG packed for the compiled pass.
+
+        The successor CSR over every node, in-degrees and ready entries
+        of a :meth:`~repro.kernel.timed.TimedKernel.from_decisions`
+        kernel; ``run(dur, out_start, out_finish)`` is then
+        :meth:`~repro.kernel.timed.TimedKernel._kahn_loop` in C.
+        """
+        if _cext is None:
+            _warn_fallback()
+            return None
+        if tk.next_proc is None:
+            raise SchedulingError("propagate_kahn requires the one-shot form (from_decisions)")
+        st = tk.statics
+        return _cext.OneShot(
+            st.num_tasks,
+            st.num_edges,
+            st.succ_ptr,
+            st.succ_eix,
+            st.edst,
+            tk.active,
+            tk.next_proc,
+            tk.next_send,
+            tk.next_recv,
+            tk.indeg,
+            st.base_entries,
+        )

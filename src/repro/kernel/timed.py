@@ -21,7 +21,11 @@ The three phases:
 * **propagate** — :meth:`propagate_kahn` / :meth:`propagate_order` run
   one forward pass over the int arrays, computing the component-wise
   least start/finish times (identical floats to the object-level
-  replay: same ``max`` over the same operands, same single addition);
+  replay: same ``max`` over the same operands, same single addition).
+  :meth:`propagate_kahn` runs compiled when the active kernel backend
+  provides a one-shot pass (``cext``: a packed successor CSR built once
+  per kernel), and the pure-Python loop otherwise — the reference and
+  the fallback;
 * **patch** — :meth:`patch` re-propagates only downstream of an
   invalidated node set into generation-stamped overlay arrays (no
   mutation), and :meth:`apply` folds one such overlay back into the
@@ -37,6 +41,7 @@ from math import isfinite
 import numpy as np
 
 from ..core.exceptions import PlatformError, SchedulingError
+from .backends import current_backend
 from .statics import KernelStatics
 
 
@@ -105,7 +110,7 @@ class TimedKernel:
         "_ov_finish",
         "_ov_stamp",
         "_gen",
-        "_succ_csr",
+        "_one_shot",
     )
 
     def __init__(self, statics: KernelStatics, with_preds: bool = False) -> None:
@@ -145,10 +150,10 @@ class TimedKernel:
         self._ov_finish: list[float] | None = None
         self._ov_stamp: list[int] | None = None
         self._gen = 0
-        #: Flat successor CSR of the one-shot form, built lazily by the
-        #: array backend's frontier propagation (safe to cache: only
-        #: ``from_decisions`` writes the one-shot arrays, exactly once).
-        self._succ_csr: tuple | None = None
+        #: The backend's compiled one-shot pass, resolved at the first
+        #: :meth:`propagate_kahn` (``False``: the Python loop).  Safe to
+        #: cache: only ``from_decisions`` writes the one-shot arrays, once.
+        self._one_shot = None
 
     # ------------------------------------------------------------------
     # compile
@@ -392,33 +397,68 @@ class TimedKernel:
         out_start: list[float] | None = None,
         out_finish: list[float] | None = None,
     ) -> float:
-        """Full forward pass in Kahn order; raises on cyclic orders.
+        """Full forward pass in Kahn order; returns the makespan and
+        raises :class:`SchedulingError` on cyclic orders.
 
-        Requires the one-shot form (:meth:`from_decisions`): successors
-        are enumerated from the statics CSR plus the next-pointer
-        arrays, and the max over each node's predecessors is fused into
-        the in-degree decrement — ``est`` accumulates the running
-        maximum of finished predecessors, which equals the object-level
-        replay's ``max`` over the full predecessor list exactly (same
-        operands, any order).
+        Requires the one-shot form (:meth:`from_decisions`).  Without
+        arguments it sets the base plan state :attr:`start`,
+        :attr:`finish` and :attr:`makespan`.
 
-        Online-engine hook: ``dur`` substitutes observed durations for
-        the compiled estimates, and ``out_start`` / ``out_finish``
-        (full-size arrays) receive the resulting times without touching
-        the base plan state — passing either leaves :attr:`start`,
-        :attr:`finish`, and :attr:`makespan` unchanged.
+        Overrides are pure (online-engine hook): passing any of ``dur``
+        (durations substituted for the compiled estimates), ``out_start``
+        or ``out_finish`` leaves the base state untouched.  The out
+        arrays are optional full-size lists that receive the times of
+        every live node; with neither, only the makespan is computed.
+        Every given array must have one entry per kernel node.
+
+        Runs the active backend's compiled pass when it has one (built
+        once per kernel, at the first call), else :meth:`_kahn_loop`;
+        both produce identical floats.
+        """
+        compiled = self._one_shot
+        if compiled is None:
+            compiled = self._one_shot = current_backend().one_shot_pass(self) or False
+        base = dur is None and out_start is None and out_finish is None
+        if base:
+            dur, out_start, out_finish = self.dur, self.start, self.finish
+        elif dur is None:
+            dur = self.dur
+        if compiled:
+            ms = compiled.run(dur, out_start, out_finish)
+        else:
+            ms = self._kahn_loop(dur, out_start, out_finish)
+        if base:
+            self.makespan = ms
+        return ms
+
+    def _kahn_loop(self, dur, start, finish) -> float:
+        """The pure-Python one-shot pass (reference of the compiled one).
+
+        Successors are enumerated from the statics CSR plus the
+        next-pointer arrays, and the max over each node's predecessors
+        is fused into the in-degree decrement — ``est`` accumulates the
+        running maximum of finished predecessors, which equals the
+        object-level replay's ``max`` over the full predecessor list
+        exactly (same operands, any order).  Writes ``start`` /
+        ``finish`` (scratch when ``None``) at the visited nodes only.
         """
         st = self.statics
         n = st.num_tasks
+        size = n + st.num_edges
+        if self.next_proc is None:
+            raise SchedulingError("propagate_kahn requires the one-shot form (from_decisions)")
+        for name, arr in (("dur", dur), ("out_start", start), ("out_finish", finish)):
+            if arr is not None and len(arr) != size:
+                raise ValueError(f"{name} has {len(arr)} entries, expected {size}")
+        if start is None:
+            start = [0.0] * size
+        if finish is None:
+            finish = [0.0] * size
         srows, edst = st.succ_rows, st.edst
         active = self.active
-        if dur is None:
-            dur = self.dur
-        start = self.start if out_start is None else out_start
-        finish = self.finish if out_finish is None else out_finish
         next_proc, next_send, next_recv = self.next_proc, self.next_send, self.next_recv
         indeg = self.indeg.copy()
-        est = [0.0] * (n + st.num_edges)
+        est = [0.0] * size
         ready = [x for x in st.base_entries if not indeg[x]]
         push = ready.append
         total = n + self.num_active
@@ -476,10 +516,7 @@ class TimedKernel:
             raise SchedulingError(
                 "constraint DAG has a cycle: the decision orders are inconsistent"
             )
-        ms = max(finish[:n], default=0.0)
-        if finish is self.finish:
-            self.makespan = ms
-        return ms
+        return max(finish[:n], default=0.0)
 
     def propagate_order(self, order: list[int]) -> float:
         """Full forward pass over a pre-sorted topological node order."""

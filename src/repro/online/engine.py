@@ -37,7 +37,6 @@ from heapq import heappop, heappush
 from ..core.exceptions import ConfigurationError, SchedulingError
 from ..core.platform import Platform
 from ..kernel import TimedKernel, compile_statics
-from ..kernel.backends import current_backend
 from ..obs import current as _obs_current
 from .metrics import JobMetrics, OnlineResult
 from .noise import NoiseModel, make_noise
@@ -493,7 +492,7 @@ class OnlineEngine:
         from ..simulate import extract_decisions
 
         kern = TimedKernel.from_decisions(jstate.statics, extract_decisions(schedule))
-        current_backend().propagate(kern)
+        kern.propagate_kahn()
         jstate.kernel = kern
         jstate.plan_offset = self.now
         jstate.planned_ms = kern.makespan

@@ -40,7 +40,6 @@ from ..core.exceptions import ConfigurationError
 from ..core.taskgraph import TaskGraph
 from ..heuristics import get_scheduler
 from ..kernel import TimedKernel, compile_statics
-from ..kernel.backends import current_backend
 from ..models import available_models
 from .engine import (
     BLOCKED,
@@ -200,16 +199,19 @@ def replan_job(engine: OnlineEngine, jstate: JobState, scheduler, model) -> bool
     the data must cross processors, a plain precedence edge otherwise).
     Returns False when nothing can move.
     """
-    movable = set(movable_tasks(jstate))
-    if not movable:
+    movable_order = movable_tasks(jstate)
+    if not movable_order:
         return False
+    movable = set(movable_order)
     graph = jstate.job.graph
     statics = jstate.statics
     now = engine.now
 
     # -- cancel the movable closure ------------------------------------
+    # in topological order: the cancellations order the releases they
+    # trigger, so a set's hash order would leak into the event log
     cancelled = []
-    for task in movable:
+    for task in movable_order:
         act = jstate.task_acts[task]
         act.state = CANCELLED
         cancelled.append(act)
@@ -253,7 +255,7 @@ def replan_job(engine: OnlineEngine, jstate: JobState, scheduler, model) -> bool
 
     sub_statics = compile_statics(sub, engine.platform)
     kern = TimedKernel.from_decisions(sub_statics, extract_decisions(schedule))
-    current_backend().propagate(kern)
+    kern.propagate_kahn()
     jstate.kernel = kern
     jstate.plan_offset = now
     jstate.planned_ms = kern.makespan
@@ -380,6 +382,11 @@ class ReactivePolicy(PlanningPolicy):
     kernel pass with observed durations substituted for the finished
     nodes (the ``propagate_kahn(dur=...)`` hook); a relative drift
     beyond ``threshold`` triggers a re-plan of the movable tasks.
+
+    The substituted durations live in one kernel-indexed list per plan
+    kernel, rebuilt from the observed durations at arrival and at each
+    re-plan and updated by one entry per finished activity, so an event
+    costs O(1) Python work plus the pass itself.
     """
 
     name = "reactive"
@@ -394,44 +401,48 @@ class ReactivePolicy(PlanningPolicy):
 
     def on_arrival(self, jstate: JobState) -> None:
         super().on_arrival(jstate)
-        jstate.data["observed"] = dict()
+        jstate.data["observed"] = {}
+        self._index_plan(jstate)
+
+    @staticmethod
+    def _index_plan(jstate: JobState) -> None:
+        """Durations of the current plan kernel with every observed one
+        substituted, and the full-graph node -> kernel node map (``None``
+        when the kernel covers the full graph: ids coincide)."""
+        kern, full = jstate.kernel, jstate.statics
+        statics = kern.statics
+        index = None
+        if statics is not full:
+            # sub-plan kernel: activity node ids are full-graph ids
+            n_sub, n_full = statics.num_tasks, full.num_tasks
+            index = {full.tindex[task]: i for i, task in enumerate(statics.tasks)}
+            for e, edge in enumerate(statics.edges):
+                index[n_full + full.eindex[edge]] = n_sub + e
+        dur = list(kern.dur)
+        for node, d in jstate.data["observed"].items():
+            i = node if index is None else index.get(node)
+            if i is not None:
+                dur[i] = d
+        jstate.data["plan_dur"] = dur
+        jstate.data["plan_index"] = index
 
     def on_activity_finish(self, jstate: JobState, act) -> None:
         if jstate.complete or act.planned is None:
             return
-        kern = jstate.kernel
-        observed = jstate.data.setdefault("observed", {})
-        # node ids are graph-stable; map into the *current* plan kernel
-        observed[act.node] = act.dur
+        data = jstate.data
+        data["observed"][act.node] = act.dur
+        index = data["plan_index"]
+        i = act.node if index is None else index.get(act.node)
+        dur = data["plan_dur"]
+        if i is not None:
+            dur[i] = act.dur
         if act.dur == act.est:
             return
-        n_full = jstate.statics.num_tasks
-        statics = kern.statics
-        dur = list(kern.dur)
-        if statics is jstate.statics:
-            for node, d in observed.items():
-                dur[node] = d
-        else:
-            # sub-plan kernel: translate full-graph node ids
-            n_sub = statics.num_tasks
-            tindex, eindex = statics.tindex, statics.eindex
-            full = jstate.statics
-            for node, d in observed.items():
-                if node < n_full:
-                    i = tindex.get(full.tasks[node])
-                    if i is not None:
-                        dur[i] = d
-                else:
-                    e = eindex.get(full.edges[node - n_full])
-                    if e is not None:
-                        dur[n_sub + e] = d
-        size = len(dur)
-        predicted = current_backend().propagate(
-            kern, dur=dur, out_start=[0.0] * size, out_finish=[0.0] * size
-        )
+        predicted = jstate.kernel.propagate_kahn(dur=dur)
         drift = abs(predicted - jstate.planned_ms)
         if drift > self.threshold * max(jstate.planned_ms, 1.0):
-            replan_job(self.engine, jstate, self.scheduler, self.model)
+            if replan_job(self.engine, jstate, self.scheduler, self.model):
+                self._index_plan(jstate)
 
     def payload(self) -> dict:
         return {**super().payload(), "threshold": self.threshold}

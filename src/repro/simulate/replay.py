@@ -52,7 +52,6 @@ from ..core.schedule import CommEvent, Schedule, TaskPlacement
 from ..core.taskgraph import TaskGraph
 from ..core.tolerance import time_tol
 from ..kernel import TimedKernel, compile_statics
-from ..kernel.backends import current_backend
 from ..kernel.timed import KernelIneligible
 
 TaskId = Hashable
@@ -130,7 +129,7 @@ def replay(
         # multi-hop or unknown-edge transfers: outside the kernel's
         # domain, handled by the object-level reference implementation
         return replay_object(graph, platform, decisions, heuristic)
-    current_backend().propagate(kern)
+    kern.propagate_kahn()
 
     out = Schedule(graph, platform, model="one-port", heuristic=heuristic)
     n = statics.num_tasks

@@ -2,9 +2,9 @@
 
 The acceptance property of the backend registry: for every registered
 heuristic x flat-capable model x testbed, the accelerated backends —
-``numpy`` (``ArraySchedulerState``: fused sweeps, gap-indexed rows,
-frontier propagation) and ``cext`` (``CextSchedulerState``: the
-compiled C booking engine) — produce *bit-identical* schedules:
+``numpy`` (``ArraySchedulerState``: fused sweeps, gap-indexed rows)
+and ``cext`` (``CextSchedulerState``: the compiled C booking engine)
+— produce *bit-identical* schedules:
 placements, starts, finishes, and communication events, exact float
 equality, against the pure-Python default.
 
@@ -289,6 +289,29 @@ class TestCextGracefulDegradation:
         assert len(warnings) == 1, "expected exactly one fallback warning"
         assert warnings[0].name == "repro.kernel"
         assert "build_ext" in warnings[0].getMessage()
+
+    def test_propagation_falls_back_under_the_same_warning(
+        self, no_extension, paper_platform, caplog
+    ):
+        from repro.kernel import TimedKernel, compile_statics
+        from repro.simulate import extract_decisions, replay_schedule
+
+        graph = lu_graph(6)
+        with caplog.at_level(logging.WARNING, logger="repro.kernel"):
+            with use_backend("cext"):
+                sched = get_scheduler("heft").run(graph, paper_platform, "one-port")
+                kern = TimedKernel.from_decisions(
+                    compile_statics(graph, paper_platform), extract_decisions(sched)
+                )
+                ms = kern.propagate_kahn()
+                replayed = replay_schedule(sched)
+        assert kern._one_shot is False, "expected the Python loop"
+        assert ms == replayed.makespan()
+        warnings = [
+            r for r in caplog.records
+            if "compiled extension is not available" in r.getMessage()
+        ]
+        assert len(warnings) == 1, "expected exactly one fallback warning"
 
     def test_fallback_schedule_matches_python(self, no_extension, paper_platform):
         graph = irregular_testbed(40, seed=3)

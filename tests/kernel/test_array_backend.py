@@ -1,6 +1,6 @@
 """Array-backend primitives vs their pure-Python references, exactly.
 
-Three oracles:
+Two oracles:
 
 * :func:`repro.kernel.array_backend.np_row_next_fit` and
   :class:`repro.kernel.array_backend.GapRows` against the scalar
@@ -8,9 +8,6 @@ Three oracles:
   sequences — including mid-row inserts (dirty-watermark
   invalidation), rollbacks, tail growth (mirror extension), and the
   debt-gated rebuilds;
-* :func:`repro.kernel.array_backend.propagate_frontier` against
-  :meth:`repro.kernel.timed.TimedKernel.propagate_kahn` on extracted
-  decision sets;
 * the tolerance audit: gap candidates are admitted with a
   magnitude-relative pad (``GAP_PAD_REL``), so at 1e9 time magnitudes
   — where the PR-3 suite showed absolute epsilons break — the index
@@ -22,18 +19,14 @@ import random
 import pytest
 
 from repro.core.platform import Platform
-from repro.graphs import irregular_testbed, lu_graph
 from repro.heuristics import get_scheduler
-from repro.kernel import TimedKernel, compile_statics
 from repro.kernel.array_backend import (
     GAP_MIN_LEN,
     GAP_TAIL_MAX,
     GapRows,
     np_row_next_fit,
-    propagate_frontier,
 )
 from repro.kernel.builder import NO_DIRTY, FlatBuilder, row_next_fit
-from repro.simulate import extract_decisions
 
 
 # ----------------------------------------------------------------------
@@ -204,42 +197,6 @@ class TestGapRowsOracle:
             assert gap.next_fit(0, ready, duration) == row_next_fit(
                 cs, ce, ready, duration
             )
-
-
-# ----------------------------------------------------------------------
-# frontier-batched propagation
-# ----------------------------------------------------------------------
-class TestPropagateFrontier:
-    def _kernel(self, graph, platform, name="heft"):
-        schedule = get_scheduler(name).run(graph, platform, "one-port")
-        statics = compile_statics(graph, platform)
-        return TimedKernel.from_decisions(statics, extract_decisions(schedule))
-
-    @pytest.mark.parametrize(
-        "graph_fn",
-        [lambda: lu_graph(8), lambda: irregular_testbed(60, seed=2)],
-    )
-    def test_matches_kahn_exactly(self, graph_fn, paper_platform):
-        graph = graph_fn()
-        ka = self._kernel(graph, paper_platform)
-        fr = self._kernel(graph, paper_platform)
-        ms_k = ka.propagate_kahn()
-        ms_f = propagate_frontier(fr)
-        assert ms_f == ms_k
-        assert list(fr.start) == list(ka.start)
-        assert list(fr.finish) == list(ka.finish)
-
-    def test_duration_override_and_out_arrays(self, paper_platform):
-        graph = lu_graph(6)
-        ka = self._kernel(graph, paper_platform)
-        size = len(ka.dur)
-        dur = [d * 1.5 for d in ka.dur]
-        outs_k = ([0.0] * size, [0.0] * size)
-        outs_f = ([0.0] * size, [0.0] * size)
-        ms_k = ka.propagate_kahn(dur=dur, out_start=outs_k[0], out_finish=outs_k[1])
-        ms_f = propagate_frontier(ka, dur=dur, out_start=outs_f[0], out_finish=outs_f[1])
-        assert ms_f == ms_k
-        assert outs_f == outs_k
 
 
 # ----------------------------------------------------------------------

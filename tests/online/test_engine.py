@@ -1,12 +1,19 @@
 """Engine behavior: determinism, contention validity, policy reactions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.exceptions import ConfigurationError
 from repro.graphs import lu_graph
 from repro.online import (
     Job,
     OnlineEngine,
+    ReactivePolicy,
     Workload,
     check_execution,
     make_workload,
@@ -56,6 +63,32 @@ class TestDeterminism:
         dur_a = {t: f - s for t, _p, s, f in a.placements[0]}
         dur_b = {t: f - s for t, _p, s, f in b.placements[0]}
         assert dur_a == dur_b
+
+    def test_event_log_independent_of_hash_seed(self):
+        """String task ids hash differently in every process; nothing
+        the engine or a policy iterates may follow that order.  (Re-
+        planning once cancelled a task *set*, so same-time releases
+        were logged in hash order.)"""
+        script = (
+            "import hashlib\n"
+            "from repro.experiments import paper_platform\n"
+            "from repro.online import make_workload, simulate_online\n"
+            "wl = make_workload('lu', 10, count=6, arrival='poisson:rate=0.004', seed=1)\n"
+            "r = simulate_online(wl, paper_platform(), policy='reactive:threshold=0.05',\n"
+            "                    noise='lognormal:sigma=0.3', seed=1)\n"
+            "assert r.aggregate()['reschedules'] > 0\n"
+            "print(r.events, hashlib.sha256(repr(r.event_log).encode()).hexdigest())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
     def test_seed_changes_change_durations(self, paper_platform):
         wl = make_workload("fork-join", 6, count=1, arrival="trace:0.0", seed=0)
@@ -121,6 +154,43 @@ class TestReactions:
         check_execution(noisy)
         assert sum(j.reschedules for j in quiet.jobs) == 0
         assert sum(j.reschedules for j in noisy.jobs) > 0
+
+    def test_reactive_durations_match_a_full_rebuild(self, paper_platform,
+                                                     contended_workload):
+        """The reactive policy keeps one kernel-indexed duration list per
+        plan kernel and updates one entry per event; after every event
+        it must equal the kernel's estimates with *every* observed
+        duration substituted afresh (translated into sub-plan kernels)."""
+        checks = []
+
+        class Checked(ReactivePolicy):
+            def on_activity_finish(self, jstate, act):
+                super().on_activity_finish(jstate, act)
+                if jstate.complete or act.planned is None:
+                    return
+                kern, full = jstate.kernel, jstate.statics
+                sub = kern.statics
+                expected = list(kern.dur)
+                for node, d in jstate.data["observed"].items():
+                    if sub is full:
+                        expected[node] = d
+                    elif node < full.num_tasks:
+                        i = sub.tindex.get(full.tasks[node])
+                        if i is not None:
+                            expected[i] = d
+                    else:
+                        e = sub.eindex.get(full.edges[node - full.num_tasks])
+                        if e is not None:
+                            expected[sub.num_tasks + e] = d
+                assert jstate.data["plan_dur"] == expected
+                checks.append(sub is full)
+
+        result = simulate_online(contended_workload, paper_platform,
+                                 policy=Checked(threshold=0.05),
+                                 noise="lognormal:sigma=0.3", seed=7)
+        check_execution(result)
+        assert sum(j.reschedules for j in result.jobs) > 0
+        assert True in checks and False in checks, "expected full and sub-plan kernels"
 
     def test_replanning_through_pinned_interior_tasks(self, paper_platform):
         """Regression: movability must be transitively closed.
