@@ -15,9 +15,9 @@ Bit-identity: the C engine transliterates the scalar reference
 (``builder.py``, the flat bookers, ``SchedulerState``'s sweep) —
 the same IEEE-754 double operations in the same order, the same strict
 ``(finish, start, proc)`` tie-break, the same guard-tolerance
-arithmetic — so schedules match the python and numpy backends float
-for float.  The cross-backend fuzz suite asserts this for every
-registered heuristic × flat model × testbed.
+arithmetic — so schedules match the python backend float for float.
+The cross-backend fuzz suite asserts this for every registered
+heuristic × flat model × testbed.
 
 Observability: the engine accumulates the booking counters internally
 (one C increment instead of a Python dict update per event) and this

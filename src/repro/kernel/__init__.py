@@ -38,6 +38,11 @@ Layout
   online engine runs compiled under the ``cext`` backend); ``patch``
   re-propagates only downstream of an invalidated node set into
   generation-stamped overlays and ``apply`` folds the overlay back in.
+* **Backends** (:mod:`repro.kernel.backends`): two tiers with
+  bit-identical results — ``python``, the reference above, and
+  ``cext``, the compiled engine of :mod:`repro.kernel.cext_backend`
+  (construction and the one-shot pass), which falls back to ``python``
+  when the extension is not built.
 
 Who routes through the kernel
 -----------------------------
@@ -58,7 +63,6 @@ same ``max`` over the same operands, same single addition per node —
 the cross-check suite in ``tests/kernel`` asserts exact agreement.
 """
 
-from . import array_backend as _array_backend  # noqa: F401  (registers "numpy")
 from . import cext_backend as _cext_backend  # noqa: F401  (registers "cext")
 from .backends import (
     available_backends,

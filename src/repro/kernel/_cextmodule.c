@@ -15,7 +15,7 @@
  * Bit-identity contract: every float computation below performs the
  * SAME IEEE-754 double operations in the SAME order as the Python
  * source it mirrors (CPython floats are C doubles), so schedules and
- * propagated times are bit-identical to the python and numpy backends.
+ * propagated times are bit-identical to the pure-Python reference.
  * When editing, change the Python reference first, then mirror it
  * here — never "optimize" an expression into a different association.
  */
@@ -356,7 +356,6 @@ typedef struct {
     Py_ssize_t port0;      /* uni-port */
     Row *rows;
     TRow *tent;
-    double *last_e;        /* per-row frontier */
     long long *row_ver;    /* per-row mutation epoch */
     long long gen;
     long long commit_count;
@@ -415,7 +414,6 @@ Engine_dealloc(EngineObject *self)
         }
         PyMem_Free(self->tent);
     }
-    PyMem_Free(self->last_e);
     PyMem_Free(self->row_ver);
     PyMem_Free(self->log);
     PyMem_Free(self->plog);
@@ -459,7 +457,6 @@ engine_alloc(EngineObject *self, StaticsObject *st, int model)
     self->num_rows = nrows;
     self->rows = PyMem_Calloc((size_t)nrows, sizeof(Row));
     self->tent = PyMem_Calloc((size_t)nrows, sizeof(TRow));
-    self->last_e = PyMem_Calloc((size_t)nrows, sizeof(double));
     self->row_ver = PyMem_Calloc((size_t)nrows, sizeof(long long));
     self->touched = PyMem_Calloc((size_t)nrows, 1);
     Py_ssize_t n = st->n ? st->n : 1;
@@ -471,7 +468,7 @@ engine_alloc(EngineObject *self, StaticsObject *st, int model)
     self->seed_src = PyMem_Calloc((size_t)m, sizeof(Py_ssize_t));
     self->seed_ready = PyMem_Calloc((size_t)m, sizeof(double));
     self->seed_t = PyMem_Calloc((size_t)m, sizeof(double));
-    if (!self->rows || !self->tent || !self->last_e || !self->row_ver ||
+    if (!self->rows || !self->tent || !self->row_ver ||
         !self->touched || !self->proc_a || !self->start_a ||
         !self->finish_a || !self->seed_ver || !self->seed_src ||
         !self->seed_ready || !self->seed_t) {
@@ -562,7 +559,6 @@ book_c(EngineObject *eg, Py_ssize_t r, double start, double end)
     }
     if (row_insert(row, pos, start, end) < 0)
         return -1;
-    eg->last_e[r] = row->e[row->len - 1];
     eg->row_ver[r] += 1;
     eg->commit_count += 1;
     if (eg->mark_depth > 0 && log_append(eg, r, pos) < 0)
@@ -1655,11 +1651,8 @@ Engine_rollback(EngineObject *eg, PyObject *args)
         eg->touched[r] = 1;
     }
     for (Py_ssize_t r = 0; r < eg->num_rows; r++) {
-        if (eg->touched[r]) {
-            Row *row = &eg->rows[r];
-            eg->last_e[r] = row->len ? row->e[row->len - 1] : 0.0;
+        if (eg->touched[r])
             eg->row_ver[r] += 1;
-        }
     }
     eg->log_len = cursor;
     eg->mark_depth -= 1;
@@ -1713,7 +1706,6 @@ Engine_copy(EngineObject *eg, PyObject *Py_UNUSED(ignored))
             memcpy(dst->e, src->e, (size_t)src->len * sizeof(double));
             dst->len = dst->cap = src->len;
         }
-        dup->last_e[r] = eg->last_e[r];
         dup->row_ver[r] = eg->row_ver[r];
     }
     memcpy(dup->proc_a, eg->proc_a, (size_t)eg->st->n * sizeof(Py_ssize_t));

@@ -1,13 +1,12 @@
-"""Kernel backend registry: pure-Python, numpy and compiled implementations.
+"""Kernel backend registry: the pure-Python reference and the compiled engine.
 
-The flat kernel's hot primitives have interchangeable implementations:
-the pure-Python reference (:mod:`repro.kernel.builder`,
-``SchedulerState``'s scalar sweeps, ``TimedKernel``'s Kahn loop), the
-numpy array backend (:mod:`repro.kernel.array_backend`,
-``ArraySchedulerState``: construction only) and the compiled ``cext``
-backend (:mod:`repro.kernel.cext_backend`: construction and the timed
-kernel's one-shot propagation).  All produce **bit-identical**
-schedules and times; they differ only in constant factors.
+The flat kernel's hot primitives have two interchangeable
+implementations: the pure-Python reference (``python``:
+:mod:`repro.kernel.builder`, ``SchedulerState``'s scalar sweeps,
+``TimedKernel``'s Kahn loop) and the compiled ``cext`` backend
+(:mod:`repro.kernel.cext_backend`: construction and the timed kernel's
+one-shot propagation).  Both produce **bit-identical** schedules and
+times; they differ only in constant factors.
 
 Selection follows the models-registry pattern
 (:func:`repro.models.base.register_model`):
@@ -16,7 +15,9 @@ Selection follows the models-registry pattern
 * :func:`available_backends` lists them;
 * the active backend is, in order of precedence, the one set with
   :func:`set_backend` / :func:`use_backend`, the ``REPRO_BACKEND``
-  environment variable, or the default ``"python"``.
+  environment variable, or the default ``"python"``.  An environment
+  value naming no registered backend falls back to the default with
+  one ``repro.kernel`` warning.
 
 The environment variable is the cross-process channel: the CLI's
 ``--backend`` flag exports it so campaign worker processes inherit the
@@ -28,6 +29,7 @@ from __future__ import annotations
 import os
 
 from ..core.exceptions import ConfigurationError
+from ..obs import get_logger as _get_logger
 
 #: Environment variable naming the default backend for this process
 #: (and, because it is inherited, its campaign workers).
@@ -60,6 +62,11 @@ class KernelBackend:
 _REGISTRY: dict[str, KernelBackend] = {}
 _ACTIVE: str | None = None  # explicit override; None -> environment/default
 
+#: Unregistered ``REPRO_BACKEND`` values already warned about.
+_WARNED_ENV: set[str] = set()
+
+_LOG = _get_logger("kernel")
+
 
 def register_backend(name: str):
     """Class decorator adding a backend to the registry under ``name``."""
@@ -84,7 +91,16 @@ def current_backend_name() -> str:
     if _ACTIVE is not None:
         return _ACTIVE
     name = os.environ.get(BACKEND_ENV, _DEFAULT)
-    return name if name in _REGISTRY else _DEFAULT
+    if name in _REGISTRY:
+        return name
+    if name not in _WARNED_ENV:
+        _WARNED_ENV.add(name)
+        _LOG.warning(
+            "%s=%r names no registered kernel backend (available: %s); "
+            "using %r.",
+            BACKEND_ENV, name, available_backends(), _DEFAULT,
+        )
+    return _DEFAULT
 
 
 def current_backend() -> KernelBackend:

@@ -64,9 +64,6 @@ from ..obs import current as _obs_current
 #: Shared immutable stand-in for "no tentative intervals on this row".
 _EMPTY: tuple = ()
 
-#: ``row_dirty`` sentinel: no un-synced mid-row insert on this row.
-NO_DIRTY = 2**63
-
 
 def row_next_fit(cs: list, ce: list, ready: float, duration: float) -> float:
     """Earliest ``t >= ready`` with ``[t, t + duration)`` free in one layer.
@@ -127,9 +124,7 @@ class FlatBuilder:
         "tent_gen",
         "gen",
         "commit_count",
-        "last_e",
         "row_ver",
-        "row_dirty",
         "log",
         "_mark_depth",
         "stats",
@@ -150,21 +145,9 @@ class FlatBuilder:
         #: Bumped on every committed mutation (bookings, rollbacks) —
         #: an epoch for caches that are valid between commits.
         self.commit_count = 0
-        #: Per-row frontier ``rows_e[r][-1]`` (0.0 for an empty row),
-        #: maintained on commit so frontier tests skip the list probe.
-        self.last_e: list[float] = [0.0] * num_procs
-        #: Per-row mutation counter — an epoch for per-row mirrors
-        #: (e.g. the array backend's gap indexes).
+        #: Per-row mutation counter — an epoch for per-row caches
+        #: (e.g. the one-port booker's send-feasibility seed memo).
         self.row_ver: list[int] = [0] * num_procs
-        #: Per-row *dirty watermark*: the lowest position of any
-        #: mid-row insert (or 0 after a rollback) since a mirror last
-        #: synced the row (:data:`NO_DIRTY` when clean).  Appends do
-        #: not move it — they extend a row without disturbing existing
-        #: intervals — and EFT construction books mid-row only near
-        #: the frontier, so prefix-indexed mirrors (the array backend's
-        #: gap indexes) stay valid below the watermark.  Contract: at
-        #: most one mirror consumer per builder resets the watermark.
-        self.row_dirty: list[int] = [NO_DIRTY] * num_procs
         #: Undo journal — ``None`` when no mark is active.
         self.log: list[tuple] | None = None
         self._mark_depth = 0
@@ -183,9 +166,7 @@ class FlatBuilder:
             self.tent_s.append([])
             self.tent_e.append([])
             self.tent_gen.append(0)
-            self.last_e.append(0.0)
             self.row_ver.append(0)
-            self.row_dirty.append(NO_DIRTY)
         return base
 
     @property
@@ -287,11 +268,8 @@ class FlatBuilder:
                     f"row {r}: reservation [{start}, {end}) overlaps "
                     f"[{cs[pos]}, {ce[pos]})"
                 )
-        if pos != len(cs) and pos < self.row_dirty[r]:
-            self.row_dirty[r] = pos
         cs.insert(pos, start)
         ce.insert(pos, end)
-        self.last_e[r] = ce[-1]
         self.row_ver[r] += 1
         self.commit_count += 1
         if self.log is not None:
@@ -328,10 +306,7 @@ class FlatBuilder:
             del self.rows_e[r][pos]
             touched.add(r)
         for r in touched:
-            ce = self.rows_e[r]
-            self.last_e[r] = ce[-1] if ce else 0.0
             self.row_ver[r] += 1
-            self.row_dirty[r] = 0
         del log[cursor:]
         self._mark_depth -= 1
         if self._mark_depth == 0:
@@ -364,10 +339,7 @@ class FlatBuilder:
         dup.tent_gen = [0] * len(self.rows_s)
         dup.gen = 1
         dup.commit_count = 0
-        dup.last_e = list(self.last_e)
         dup.row_ver = list(self.row_ver)
-        # fresh consumers build fresh mirrors; the copy starts clean
-        dup.row_dirty = [NO_DIRTY] * len(self.rows_s)
         dup.log = None
         dup._mark_depth = 0
         dup.stats = self.stats

@@ -1,5 +1,8 @@
 """The compiled kernel backend (``cext``): registration and fallback.
 
+``cext`` is the fast one of the kernel's two tiers; ``python`` is the
+reference it must match and the fallback when it is not built.
+
 :mod:`repro.kernel._cext` is a hand-written CPython extension holding
 the hot sequential booking loop — the FlatBuilder primitives, the flat
 bookers of the four flat models, and the all-processor candidate sweep
@@ -103,7 +106,7 @@ def engine_statics(kernel):
 @register_backend("cext")
 class CextBackend(KernelBackend):
     """Compiled booking loop and one-shot propagation; schedules and
-    times bit-identical to python/numpy."""
+    times bit-identical to the python reference."""
 
     def state_class(self):
         if _cext is None:

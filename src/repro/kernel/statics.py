@@ -73,8 +73,6 @@ class KernelStatics:
         "base_indeg",
         "base_entries",
         "exec_",
-        "exec_np",
-        "_exec_order",
         "link_rows",
         "_cext",
     )
@@ -166,11 +164,6 @@ class KernelStatics:
         self.exec_: list[list[float]] = [
             [w * t for t in cts] for w in self.weights
         ]
-        #: ``n x p`` numpy mirror of :attr:`exec_` — the array backend's
-        #: all-processor sweeps read whole rows at once.  Same floats:
-        #: built from the already-computed products, not recomputed.
-        self.exec_np = np.array(self.exec_, dtype=np.float64).reshape(n, len(cts))
-        self._exec_order: list[list[int]] | None = None
         self.link_rows: tuple[tuple[float, ...], ...] = platform.link_rows()
         #: True when every link is finite: hot loops skip the per-edge
         #: ``isfinite`` guard that partially connected platforms need.
@@ -178,20 +171,6 @@ class KernelStatics:
         #: Lazily-built flattened mirror for the compiled backend (see
         #: :func:`repro.kernel.cext_backend.engine_statics`).
         self._cext = None
-
-    def exec_order(self) -> list[list[int]]:
-        """Per task, the processors in increasing execution-time order.
-
-        Lazily computed and cached (stable argsort: ties break by
-        processor index).  The array backend's fused selection walks
-        this order so a finish lower bound that only grows with the
-        duration can cut the walk short.
-        """
-        eo = self._exec_order
-        if eo is None:
-            eo = np.argsort(self.exec_np, axis=1, kind="stable").tolist()
-            self._exec_order = eo
-        return eo
 
     @staticmethod
     def _ptr(degrees: list[int]) -> list[int]:

@@ -43,8 +43,6 @@ the unit implied by the layer's catalog entry (see
   e.g. ``builder.prune.maxpf`` / ``builder.prune.frontier`` /
   ``builder.prune.abort`` for the three EFT prune reasons.
 * ``oneport.*``  — one-port booker internals (seed-memo hits/misses).
-* ``gap.*``      — numpy gap-index behaviour (block hits, scalar
-  fallbacks, resyncs, debt-gate flushes).
 * ``search.*``   — local-search moves (previewed / committed /
   sideways / kicked) and patched-node totals.
 * ``online.*``   — engine events by type, replans, port waits.

@@ -1,15 +1,15 @@
-"""Cross-backend equivalence: numpy and cext backends vs pure Python.
+"""Cross-backend equivalence: the cext backend vs pure Python.
 
 The acceptance property of the backend registry: for every registered
-heuristic x flat-capable model x testbed, the accelerated backends —
-``numpy`` (``ArraySchedulerState``: fused sweeps, gap-indexed rows)
-and ``cext`` (``CextSchedulerState``: the compiled C booking engine)
-— produce *bit-identical* schedules:
-placements, starts, finishes, and communication events, exact float
-equality, against the pure-Python default.
+heuristic x flat-capable model x testbed, the compiled backend
+``cext`` (``CextSchedulerState``: the C booking engine) produces
+*bit-identical* schedules — placements, starts, finishes, and
+communication events, exact float equality — against the pure-Python
+default.
 
 Also here: the backend registry surface (selection precedence, unknown
-names, the ``REPRO_BACKEND`` environment channel) and the
+names, the ``REPRO_BACKEND`` environment channel and its warning on an
+unregistered value) and the
 fallback-visibility regressions — a model without a flat booker must
 say so (one ``repro.heuristics`` log warning), a ``cext`` selection
 without the compiled extension must degrade to the pure-Python state
@@ -31,6 +31,7 @@ from repro.heuristics.base import _FALLBACK_WARNED
 from repro.kernel import backends, cext_backend
 from repro.kernel.backends import (
     available_backends,
+    current_backend,
     current_backend_name,
     get_backend,
     set_backend,
@@ -39,15 +40,12 @@ from repro.kernel.backends import (
 from repro.kernel.cext_backend import cext_available
 from repro.models import RoutedOnePortModel, make_model
 
-#: The accelerated backends under test, each compared against the
-#: pure-Python reference; cext rows skip when the extension isn't built.
+#: The accelerated backend under test, compared against the pure-Python
+#: reference; its rows skip when the extension isn't built.
 needs_cext = pytest.mark.skipif(
     not cext_available(), reason="cext extension not built"
 )
-ACCEL_BACKENDS = [
-    pytest.param("numpy"),
-    pytest.param("cext", marks=needs_cext),
-]
+ACCEL_BACKENDS = [pytest.param("cext", marks=needs_cext)]
 
 TESTBEDS = {
     "lu": lambda: lu_graph(8),
@@ -102,19 +100,58 @@ def test_accel_matches_python_for_every_heuristic(
     assert_identical(ref, acc)
 
 
+def _skewed_links(p: int) -> list[list[float]]:
+    """An asymmetric, non-uniform link matrix with non-dyadic costs:
+    ``link(i, j) != link(j, i)`` for most pairs, so every ordered pair's
+    transfer duration differs from the unit network's."""
+    return [
+        [0.0 if i == j else 0.5 + ((3 * i + 7 * j) % 5) * 0.35 for j in range(p)]
+        for i in range(p)
+    ]
+
+
+#: Platform shapes the paper platform (a unit network) leaves out:
+#: per-pair link costs, and three processors under heavy communication,
+#: whose long rows take many mid-row inserts.
+PLATFORMS = {
+    "skewed-links": lambda: Platform([6.0, 10.0, 15.0, 6.0, 10.0], _skewed_links(5)),
+    "contended": lambda: Platform.from_groups([(1, 4), (2, 9)], link=2.5),
+}
+
+
+@pytest.mark.parametrize("backend", ACCEL_BACKENDS)
+@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+@pytest.mark.parametrize("model_name", MODELS)
+@pytest.mark.parametrize("testbed", sorted(TESTBEDS))
+@pytest.mark.parametrize(
+    "name",
+    [n for n in available_schedulers() if SCHEDULER_KWARGS.get(n, {}) is not None],
+)
+def test_accel_matches_python_on_other_platforms(
+    name, testbed, model_name, platform_name, backend
+):
+    scheduler = get_scheduler(name, **SCHEDULER_KWARGS.get(name, {}))
+    graph = TESTBEDS[testbed]()
+    platform = PLATFORMS[platform_name]()
+    ref = run_on_backend(scheduler, graph, platform, model_name, "python")
+    acc = run_on_backend(scheduler, graph, platform, model_name, backend)
+    assert ref.state_impl == "flat-python"
+    assert acc.state_impl == f"flat-{backend}"
+    assert_identical(ref, acc)
+
+
+@needs_cext
 @pytest.mark.parametrize("name", ["heft", "ilha"])
 @pytest.mark.parametrize("seed", [0, 11, 23])
 def test_large_irregular_fuzz(name, seed, paper_platform):
-    """1000-task instances push rows past the gap-index threshold, so
-    the indexed scans, mirror extension, and the dirty-watermark
-    invalidation all run — and, on cext, the C engine's realloc'd rows,
-    journal, and seed memo — and must not move a single float."""
+    """1000-task instances grow long rows, so the C engine's realloc'd
+    rows, journal, and seed memo all run — and must not move a single
+    float."""
     graph = irregular_testbed(1000, seed=seed)
     scheduler = get_scheduler(name)
     ref = run_on_backend(scheduler, graph, paper_platform, "one-port", "python")
-    for backend in ["numpy"] + (["cext"] if cext_available() else []):
-        acc = run_on_backend(scheduler, graph, paper_platform, "one-port", backend)
-        assert_identical(ref, acc)
+    acc = run_on_backend(scheduler, graph, paper_platform, "one-port", "cext")
+    assert_identical(ref, acc)
 
 
 @pytest.mark.parametrize("backend", ACCEL_BACKENDS)
@@ -133,9 +170,6 @@ def test_state_impl_recorded_per_backend(paper_platform):
         sched = get_scheduler("heft").run(graph, paper_platform, "one-port")
     assert sched.state_impl == "flat-python"
     assert sched.summary()["state_impl"] == "flat-python"
-    with use_backend("numpy"):
-        sched = get_scheduler("heft").run(graph, paper_platform, "one-port")
-    assert sched.state_impl == "flat-numpy"
 
 
 @needs_cext
@@ -151,8 +185,7 @@ def test_state_impl_recorded_for_cext(paper_platform):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_all_backends_registered(self):
-        names = available_backends()
-        assert "python" in names and "numpy" in names and "cext" in names
+        assert available_backends() == ["cext", "python"]
 
     def test_default_is_python(self, monkeypatch):
         monkeypatch.delenv(backends.BACKEND_ENV, raising=False)
@@ -160,32 +193,46 @@ class TestRegistry:
         assert current_backend_name() == "python"
 
     def test_environment_channel(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV, "numpy")
+        monkeypatch.setenv(backends.BACKEND_ENV, "cext")
         monkeypatch.setattr(backends, "_ACTIVE", None)
-        assert current_backend_name() == "numpy"
+        assert current_backend_name() == "cext"
 
     def test_environment_channel_cext(self, monkeypatch):
         """cext is selectable through REPRO_BACKEND regardless of
         whether the extension is built — degradation happens at state
         construction, not at registry lookup."""
+        monkeypatch.setattr(cext_backend, "_cext", None)
         monkeypatch.setenv(backends.BACKEND_ENV, "cext")
         monkeypatch.setattr(backends, "_ACTIVE", None)
         assert current_backend_name() == "cext"
 
     def test_explicit_cext_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV, "numpy")
+        monkeypatch.setenv(backends.BACKEND_ENV, "python")
         with use_backend("cext"):
             assert current_backend_name() == "cext"
 
-    def test_unknown_environment_value_falls_back(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV, "fortran")
+    def test_unknown_environment_value_falls_back(self, monkeypatch, caplog):
+        """An unregistered value (``numpy`` was a backend once) still
+        selects ``python``, and says so exactly once per process."""
         monkeypatch.setattr(backends, "_ACTIVE", None)
+        monkeypatch.setattr(backends, "_WARNED_ENV", set())
+        monkeypatch.setenv(backends.BACKEND_ENV, "fortran")
         assert current_backend_name() == "python"
+        monkeypatch.setenv(backends.BACKEND_ENV, "numpy")
+        with caplog.at_level(logging.WARNING, logger="repro.kernel"):
+            assert current_backend_name() == "python"
+            assert current_backend_name() == "python"
+            assert current_backend().name == "python"
+        warnings = [r for r in caplog.records if "'numpy'" in r.getMessage()]
+        assert len(warnings) == 1, "expected exactly one warning"
+        assert warnings[0].levelno == logging.WARNING
+        assert warnings[0].name == "repro.kernel"
+        assert str(available_backends()) in warnings[0].getMessage()
 
     def test_explicit_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(backends.BACKEND_ENV, "python")
-        with use_backend("numpy"):
-            assert current_backend_name() == "numpy"
+        monkeypatch.setenv(backends.BACKEND_ENV, "cext")
+        with use_backend("python"):
+            assert current_backend_name() == "python"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ConfigurationError):
@@ -195,8 +242,8 @@ class TestRegistry:
 
     def test_use_backend_restores(self):
         before = current_backend_name()
-        with use_backend("numpy"):
-            assert current_backend_name() == "numpy"
+        with use_backend("cext"):
+            assert current_backend_name() == "cext"
         assert current_backend_name() == before
 
 
@@ -231,12 +278,12 @@ class TestFallbackVisibility:
         assert sched.state_impl == "object"
         assert again.state_impl == "object"
 
-    def test_numpy_backend_does_not_apply_to_object_path(self, caplog):
+    def test_cext_backend_does_not_apply_to_object_path(self, caplog):
         """Backend selection is a flat-path concern: the routed model
-        still runs (and says so) on the object path under numpy."""
+        still runs (and says so) on the object path under cext."""
         scheduler, graph, line = self._routed_run()
         _FALLBACK_WARNED.discard("routed")
-        with use_backend("numpy"):
+        with use_backend("cext"):
             with caplog.at_level(logging.WARNING, logger="repro.heuristics"):
                 sched = scheduler.run(graph, line, RoutedOnePortModel(line))
         assert sched.state_impl == "object"

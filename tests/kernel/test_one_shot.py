@@ -85,10 +85,9 @@ MODES = ["dur", "dur+start+finish", "start+finish", "start", "finish", "dur+fini
 # ----------------------------------------------------------------------
 # backend selection
 # ----------------------------------------------------------------------
-def test_python_and_numpy_run_the_python_loop():
+def test_python_runs_the_python_loop():
     statics, decisions = plan("lu")
     assert kernel_on("python", statics, decisions)._one_shot is False
-    assert kernel_on("numpy", statics, decisions)._one_shot is False
 
 
 @needs_cext

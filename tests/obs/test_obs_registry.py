@@ -54,13 +54,13 @@ class TestStats:
         a.gauge("campaign.workers", 1)
         b = Stats()
         b.inc("builder.commits", 2)
-        b.inc("gap.searches", 7)
+        b.inc("oneport.seed.hit", 7)
         b.add_time("phase.cell", 0.5, calls=2)
         b.gauge("campaign.workers", 8)
         with b.span("phase.statics"):
             pass
         a.merge(b.payload())
-        assert a.counters == {"builder.commits": 5, "gap.searches": 7}
+        assert a.counters == {"builder.commits": 5, "oneport.seed.hit": 7}
         assert a.timers["phase.cell"] == [3, 1.5]
         assert a.gauges["campaign.workers"] == 8  # last writer wins
         assert [name for name, _, _ in a.spans] == ["phase.statics"]

@@ -22,7 +22,6 @@ POLICIES = [
 ]
 
 ACCEL = [
-    pytest.param("numpy"),
     pytest.param("cext", marks=pytest.mark.skipif(
         not cext_available(), reason="cext extension not built")),
 ]
