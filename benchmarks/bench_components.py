@@ -2,16 +2,17 @@
 
 These are the hot paths of every heuristic (profiling-guided, per the
 optimization workflow): timeline gap search, one-port joint fits through
-overlays, bottom-level computation, and a full one-port EFT evaluation.
+the flat booker's tentative layer, bottom-level computation, and a full
+one-port EFT evaluation.
 """
 
 import random
 
-from repro.core import PortSet, Timeline, bottom_levels
-from repro.core.ports import PortSetOverlay
+from repro.core import Platform, TaskGraph, Timeline, bottom_levels
 from repro.experiments import paper_platform
 from repro.graphs import lu_graph
 from repro.heuristics.base import SchedulerState
+from repro.kernel import FlatBuilder, compile_statics
 from repro.models import OnePortModel
 
 
@@ -47,29 +48,36 @@ def test_timeline_fill(benchmark):
 
 
 def test_one_port_joint_fit(benchmark):
-    """Tentative transfer placement through a port-set overlay."""
-    ports = PortSet(10)
+    """Tentative placement of one candidate's 50 incoming transfers
+    (``OnePortFlatBooker.trial_est``) over busy send/receive rows."""
+    platform = Platform.homogeneous(10, cycle_time=1.0, link=1.0)
+    graph = TaskGraph.from_specs(
+        [(f"p{i}", 1.0) for i in range(50)] + [("x", 1.0)],
+        [(f"p{i}", "x", 2.0) for i in range(50)],
+    )
+    st = compile_statics(graph, platform)
+    builder = FlatBuilder(10)
+    booker = OnePortModel(platform).flat_booker(builder, st)
     rng = random.Random(11)
     for _ in range(400):
         q, r = rng.randrange(10), rng.randrange(10)
         if q == r:
             continue
-        start = ports.earliest_transfer(q, r, rng.uniform(0, 300), 2.0)
-        ports.reserve_transfer(q, r, start, 2.0)
+        rows = (booker.send0 + q, booker.recv0 + r)
+        start = builder.joint_next_fit(rows, rng.uniform(0, 300), 2.0)
+        for row in rows:
+            builder.book(row, start, start + 2.0)
+    # parents on P1..P9, ready at 0..49, all sending to the candidate on P0
+    parents = [
+        (float(i), st.tindex[f"p{i}"], st.eindex[(f"p{i}", "x")], 1 + i % 9)
+        for i in range(50)
+    ]
 
     def trial():
-        overlay = PortSetOverlay(ports)
-        total = 0.0
-        for i in range(50):
-            q, r = i % 10, (i * 3 + 1) % 10
-            if q == r:
-                continue
-            start = overlay.earliest_transfer(q, r, float(i), 2.0)
-            overlay.reserve_transfer(q, r, start, 2.0)
-            total += start
-        return total
+        builder.begin_trial()
+        return booker.trial_est(parents, 0)
 
-    benchmark(trial)
+    assert benchmark(trial) > 49.0
 
 
 def test_bottom_levels_lu(benchmark):

@@ -1,4 +1,4 @@
-"""Construction throughput: flat-kernel backends vs the object path.
+"""Construction throughput per kernel backend.
 
 Standalone script (not a pytest-benchmark module) so CI can run it and
 archive the result::
@@ -7,20 +7,17 @@ archive the result::
 
 Measures, per heuristic x testbed x kernel backend:
 
-* **schedules/s** — full construction runs through the selected flat
+* **schedules/s** — full construction runs through the selected
   ``SchedulerState`` backend (``python`` scalar loops or the ``cext``
-  compiled engine) vs the retained
-  ``ObjectSchedulerState`` reference (forced with
-  :func:`repro.heuristics.force_object_state`), interleaved inside each
-  round so CPU-load drift cannot skew the ratio, with exact makespan
-  agreement asserted across every backend pair.
+  compiled engine), interleaved inside each round so CPU-load drift
+  cannot skew the comparison, with exact makespan agreement asserted
+  across every backend pair.
 * **candidate-evaluations/s** — the same latency expressed per
   (task, processor) EFT probe, the unit the paper's Section 4.3
   tentative-booking mechanism is invoked at.
 
-The ``irregular-10000`` bed runs HEFT only and skips the (much slower)
-object reference: it exists to show that a 10k-task random DAG is a
-routine sub-second construction, not to re-measure the object ratio.
+The ``irregular-10000`` bed runs HEFT only: it exists to show that a
+10k-task random DAG is a routine sub-second construction.
 
 A **stage breakdown** (``--stages``, always on for full runs) re-runs
 HEFT per backend under the opt-in ``repro.obs`` stage timers
@@ -59,7 +56,7 @@ from _harness import best_of, write_result  # noqa: E402
 from repro import HEFT, ILHA  # noqa: E402
 from repro.experiments import paper_platform  # noqa: E402
 from repro.graphs import irregular_testbed, layered_testbed, lu_graph  # noqa: E402
-from repro.heuristics import force_object_state, get_scheduler  # noqa: E402
+from repro.heuristics import get_scheduler  # noqa: E402
 from repro.kernel.backends import use_backend  # noqa: E402
 from repro.kernel.cext_backend import cext_available  # noqa: E402
 from repro.obs import collect, stage_detail_scope  # noqa: E402
@@ -83,10 +80,9 @@ HEURISTICS = [
 ]
 
 
-def bench_cell(label, hname, scheduler, graph, plat, rounds, repeats, backends,
-               with_object=True):
-    # correctness gate before timing: every backend (and the object
-    # reference, when it runs) must agree on the makespan exactly
+def bench_cell(label, hname, scheduler, graph, plat, rounds, repeats, backends):
+    # correctness gate before timing: every backend must agree on the
+    # makespan exactly
     ref_makespan = None
     for be in backends:
         with use_backend(be):
@@ -94,14 +90,8 @@ def bench_cell(label, hname, scheduler, graph, plat, rounds, repeats, backends,
         if ref_makespan is None:
             ref_makespan = ms
         assert ms == ref_makespan, f"backend drift for {hname} on {label}"
-    if with_object:
-        with force_object_state():
-            ms = scheduler.run(graph, plat, "one-port").makespan()
-        assert ms == ref_makespan, f"flat/object drift for {hname} on {label}"
 
     flat_s = {be: float("inf") for be in backends}
-    obj_s = float("inf")
-    obj_repeats = max(1, repeats // 3)
     for _ in range(rounds):
         for be in backends:
             with use_backend(be):
@@ -109,12 +99,6 @@ def bench_cell(label, hname, scheduler, graph, plat, rounds, repeats, backends,
                 for _ in range(repeats):
                     scheduler.run(graph, plat, "one-port")
                 flat_s[be] = min(flat_s[be], (time.perf_counter() - t0) / repeats)
-        if with_object:
-            t0 = time.perf_counter()
-            with force_object_state():
-                for _ in range(obj_repeats):
-                    scheduler.run(graph, plat, "one-port")
-            obj_s = min(obj_s, (time.perf_counter() - t0) / obj_repeats)
 
     # candidate probes: every task is evaluated on every processor by
     # the EFT sweep (upper bound for chunked ILHA, whose step-1 tasks
@@ -134,18 +118,10 @@ def bench_cell(label, hname, scheduler, graph, plat, rounds, repeats, backends,
             "cand_evals_per_s": round(candidates / s),
             "makespan": ref_makespan,
         }
-        if with_object:
-            row["object_ms"] = round(obj_s * 1e3, 4)
-            row["speedup"] = round(obj_s / s, 2)
         rows.append(row)
-        obj_part = (
-            f"object {row['object_ms']:8.3f} ms  x{row['speedup']:<5.2f}"
-            if with_object
-            else " " * 26
-        )
         print(
             f"{label:<16} {hname:<9} {be:<7} {row['tasks']:>5} tasks  "
-            f"flat {row['flat_ms']:9.3f} ms  {obj_part} "
+            f"flat {row['flat_ms']:9.3f} ms  "
             f"{row['schedules_per_s']:>7.1f} sched/s  "
             f"{row['cand_evals_per_s']:>8} cand/s"
         )
@@ -168,7 +144,7 @@ def bench_stages(beds, plat, backends, rounds) -> list[dict]:
     """
     scheduler = HEFT()
     rows = []
-    for label, graph, repeats, _only, _with_object in beds:
+    for label, graph, repeats, _only in beds:
         repeats = max(1, repeats // 2)
         for be in backends:
             best: dict[str, float] | None = None
@@ -336,34 +312,32 @@ def main(argv=None) -> int:
         return 2
 
     plat = paper_platform()
-    # (label, graph, repeats, heuristic filter, include object reference)
+    # (label, graph, repeats, heuristic filter)
     if args.quick:
         rounds = 3
         beds = [
-            ("lu-20", lu_graph(20), 10, None, True),
-            ("irregular-300", irregular_testbed(300, seed=0), 4, None, True),
-            ("irregular-10000", irregular_testbed(10000, seed=0), 1,
-             {"heft"}, False),
+            ("lu-20", lu_graph(20), 10, None),
+            ("irregular-300", irregular_testbed(300, seed=0), 4, None),
+            ("irregular-10000", irregular_testbed(10000, seed=0), 1, {"heft"}),
         ]
     else:
         rounds = 6
         beds = [
-            ("lu-20", lu_graph(20), 12, None, True),
-            ("lu-40", lu_graph(40), 4, None, True),
+            ("lu-20", lu_graph(20), 12, None),
+            ("lu-40", lu_graph(40), 4, None),
             ("layered-big", layered_testbed(160, seed=0, width=10, density=0.25),
-             4, None, True),
-            ("irregular-1000", irregular_testbed(1000, seed=0), 4, None, True),
-            ("irregular-10000", irregular_testbed(10000, seed=0), 2,
-             {"heft"}, False),
+             4, None),
+            ("irregular-1000", irregular_testbed(1000, seed=0), 4, None),
+            ("irregular-10000", irregular_testbed(10000, seed=0), 2, {"heft"}),
         ]
 
     rows = [
         row
-        for label, graph, repeats, only, with_object in beds
+        for label, graph, repeats, only in beds
         for hname, factory in HEURISTICS
         if only is None or hname in only
         for row in bench_cell(label, hname, factory(), graph, plat, rounds,
-                              repeats, backends, with_object)
+                              repeats, backends)
     ]
 
     stage_rows = []
@@ -394,19 +368,6 @@ def main(argv=None) -> int:
         rows, args.baseline, args.min_ratio
     ):
         return 1
-
-    if not args.quick:
-        for bed in ("lu-20", "lu-40", "irregular-1000"):
-            worst = min(
-                (r["speedup"] for r in rows
-                 if r["testbed"] == bed and "speedup" in r),
-                default=0.0,
-            )
-            if worst < 3.0:
-                print(
-                    f"WARNING: {bed} construction speedup {worst}x is below "
-                    f"the 3x target"
-                )
     return 0
 
 

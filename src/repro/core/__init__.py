@@ -24,7 +24,6 @@ from .loadbalance import (
     weight_shares,
 )
 from .platform import Platform
-from .ports import PortSet, PortSetOverlay
 from .ranking import (
     bottom_levels,
     critical_path,
@@ -59,8 +58,6 @@ __all__ = [
     "ONE_PORT",
     "Platform",
     "PlatformError",
-    "PortSet",
-    "PortSetOverlay",
     "ReproError",
     "Schedule",
     "SchedulingError",

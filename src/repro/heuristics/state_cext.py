@@ -41,7 +41,8 @@ TaskId = Hashable
 
 
 def _model_code(model) -> int | None:
-    """The engine's booker code for ``model`` (``None`` = no C booker).
+    """The engine's booker code for ``model`` (``None`` = no C booker:
+    the ``cext`` backend then runs ``model`` on the pure-Python state).
 
     Exact type match on purpose: the one-port variants subclass and
     *share* ``name = "one-port"``-style metadata, and a user subclass
@@ -152,15 +153,7 @@ class CextSchedulerState(SchedulerState):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        code = _model_code(self.model)
-        if code is None:
-            # Flat-capable model without a C booker (e.g. a subclass
-            # overriding a booking hook): run the inherited pure-Python
-            # engine and record what actually ran.
-            self._eng = None
-            self.schedule.state_impl = SchedulerState.state_impl_name
-            return
-        self._eng = eng = _cext.Engine(engine_statics(self.kernel), code)
+        self._eng = eng = _cext.Engine(engine_statics(self.kernel), _model_code(self.model))
         #: The inherited FlatBuilder/booker pair is superseded by the
         #: engine; ``builder`` becomes the read facade so state
         #: introspection keeps working.
@@ -196,8 +189,6 @@ class CextSchedulerState(SchedulerState):
         insertion: bool | None = None,
     ) -> Candidate:
         eng = self._eng
-        if eng is None:
-            return super().evaluate(task, proc, parents, insertion)
         ti = self.kernel.intern(task)
         ins = self.insertion if insertion is None else insertion
         if parents is None:
@@ -214,8 +205,6 @@ class CextSchedulerState(SchedulerState):
         insertion: bool | None = None,
     ) -> list[Candidate]:
         eng = self._eng
-        if eng is None:
-            return super().evaluate_all(task, procs, insertion)
         ti = self.kernel.intern(task)
         ins = self.insertion if insertion is None else insertion
         if procs is not None and not isinstance(procs, (list, tuple, range)):
@@ -230,8 +219,6 @@ class CextSchedulerState(SchedulerState):
         insertion: bool | None = None,
     ) -> Candidate:
         eng = self._eng
-        if eng is None:
-            return super().best_candidate(task, procs, insertion)
         ti = self.kernel.intern(task)
         ins = self.insertion if insertion is None else insertion
         if procs is not None and not isinstance(procs, (list, tuple, range)):
@@ -270,8 +257,6 @@ class CextSchedulerState(SchedulerState):
 
     def commit(self, candidate: Candidate) -> None:
         eng = self._eng
-        if eng is None:
-            return super().commit(candidate)
         task = candidate.task
         ti = self.kernel.intern(task)
         proc, start, finish = candidate.proc, candidate.start, candidate.finish
@@ -290,8 +275,6 @@ class CextSchedulerState(SchedulerState):
         self, task: TaskId, proc: int, insertion: bool | None = None
     ) -> Candidate:
         eng = self._eng
-        if eng is None:
-            return super().schedule_on(task, proc, insertion)
         ti = self.kernel.intern(task)
         ins = self.insertion if insertion is None else insertion
         start, finish, events = eng.schedule_on(ti, proc, ins)
@@ -306,8 +289,6 @@ class CextSchedulerState(SchedulerState):
     # ------------------------------------------------------------------
     @property
     def compute(self):
-        if self._eng is None:
-            return SchedulerState.compute.fget(self)
         views = self._compute_views
         if views is None:
             views = self._compute_views = [
@@ -321,16 +302,12 @@ class CextSchedulerState(SchedulerState):
     # ------------------------------------------------------------------
     def mark(self):
         eng = self._eng
-        if eng is None:
-            return super().mark()
         cursor, pcursor = eng.mark()
         self._mdepth += 1
         return (cursor, pcursor, len(self.schedule.comm_events))
 
     def restore(self, mark) -> None:
         eng = self._eng
-        if eng is None:
-            return super().restore(mark)
         cursor, pcursor, events_len = mark
         detail = self._stats is not None and _stage_detail()
         if detail:
@@ -353,8 +330,6 @@ class CextSchedulerState(SchedulerState):
             self._flush_counters()
 
     def snapshot(self) -> "CextSchedulerState":
-        if self._eng is None:
-            return super().snapshot()
         dup = object.__new__(type(self))
         dup.graph = self.graph
         dup.platform = self.platform

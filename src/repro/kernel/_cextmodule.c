@@ -6,7 +6,7 @@
  * trial_est/commit_est (including the per-edge send-feasibility seed
  * memo), and the all-processor candidate sweep with its
  * maxpf/frontier/in-trial pruning — transliterated from
- * kernel/builder.py, models/one_port.py, models/variants.py,
+ * kernel/builder.py, models/one_port.py, models/base.py,
  * models/macro_dataflow.py and heuristics/base.py; plus the timed
  * kernel's one-shot forward pass (TimedKernel.propagate_kahn in
  * kernel/timed.py) behind replay, plan install and online
@@ -372,10 +372,11 @@ typedef struct {
     double *start_a;
     double *finish_a;
     /* one-port per-edge seed memo: (send-row version, source proc,
-     * ready, seed); ver < 0 = empty entry */
+     * ready, transfer duration, seed); ver < 0 = empty entry */
     long long *seed_ver;
     Py_ssize_t *seed_src;
     double *seed_ready;
+    double *seed_dur;
     double *seed_t;
     /* scratch */
     PRow *par;
@@ -423,6 +424,7 @@ Engine_dealloc(EngineObject *self)
     PyMem_Free(self->seed_ver);
     PyMem_Free(self->seed_src);
     PyMem_Free(self->seed_ready);
+    PyMem_Free(self->seed_dur);
     PyMem_Free(self->seed_t);
     PyMem_Free(self->par);
     PyMem_Free(self->ev);
@@ -467,11 +469,12 @@ engine_alloc(EngineObject *self, StaticsObject *st, int model)
     self->seed_ver = PyMem_Malloc((size_t)m * sizeof(long long));
     self->seed_src = PyMem_Calloc((size_t)m, sizeof(Py_ssize_t));
     self->seed_ready = PyMem_Calloc((size_t)m, sizeof(double));
+    self->seed_dur = PyMem_Calloc((size_t)m, sizeof(double));
     self->seed_t = PyMem_Calloc((size_t)m, sizeof(double));
     if (!self->rows || !self->tent || !self->row_ver ||
         !self->touched || !self->proc_a || !self->start_a ||
         !self->finish_a || !self->seed_ver || !self->seed_src ||
-        !self->seed_ready || !self->seed_t) {
+        !self->seed_ready || !self->seed_dur || !self->seed_t) {
         PyErr_NoMemory();
         return -1;
     }
@@ -713,7 +716,8 @@ macro_trial_est(EngineObject *eg, const PRow *par, Py_ssize_t np_,
     return est;
 }
 
-/* _JointRowsFlatBooker.trial_est (uni-port / no-overlap row sets) */
+/* _JointRowsFlatBooker.trial_est for the single-hop chains of
+ * uni-port / no-overlap (models/base.py, models/variants.py) */
 static int
 joint_rows_for(EngineObject *eg, Py_ssize_t q, Py_ssize_t r,
                Py_ssize_t *rows)
@@ -825,7 +829,7 @@ oneport_trial_est(EngineObject *eg, const PRow *par, Py_ssize_t np_,
         long long ver = eg->row_ver[rs];
         double t;
         if (eg->seed_ver[e] == ver && eg->seed_src[e] == pproc &&
-            eg->seed_ready[e] == pfinish) {
+            eg->seed_ready[e] == pfinish && eg->seed_dur[e] == dur) {
             eg->c_seed_hit++;
             t = eg->seed_t[e];
         } else {
@@ -849,6 +853,7 @@ oneport_trial_est(EngineObject *eg, const PRow *par, Py_ssize_t np_,
             eg->seed_ver[e] = ver;
             eg->seed_src[e] = pproc;
             eg->seed_ready[e] = pfinish;
+            eg->seed_dur[e] = dur;
             eg->seed_t[e] = t;
         }
         for (;;) {

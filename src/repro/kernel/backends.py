@@ -41,18 +41,18 @@ _DEFAULT = "python"
 class KernelBackend:
     """One implementation of the kernel's hot primitives.
 
-    ``state_class()`` returns the ``SchedulerState`` subclass that
-    flat-capable models are routed through, and ``one_shot_pass(tk)``
-    the compiled form of a :class:`~repro.kernel.timed.TimedKernel`'s
-    one-shot forward pass, which ``TimedKernel.propagate_kahn`` builds
-    once per kernel; ``None`` from either means the pure-Python
-    reference.  Classes are resolved lazily so registering a backend
-    never imports the heuristics layer at module-load time.
+    ``state_class(model)`` returns the ``SchedulerState`` subclass that
+    runs ``model``, and ``one_shot_pass(tk)`` the compiled form of a
+    :class:`~repro.kernel.timed.TimedKernel`'s one-shot forward pass,
+    which ``TimedKernel.propagate_kahn`` builds once per kernel;
+    ``None`` from either means the pure-Python reference.  Classes are
+    resolved lazily so registering a backend never imports the
+    heuristics layer at module-load time.
     """
 
     name = ""
 
-    def state_class(self):
+    def state_class(self, model):
         return None
 
     def one_shot_pass(self, tk):

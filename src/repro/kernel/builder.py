@@ -18,8 +18,8 @@ small ints — no ``Timeline`` objects, no dicts.
 Trials by generation stamp
 --------------------------
 Evaluating a candidate placement books its incoming messages
-*tentatively* (paper Section 4.3).  The object implementation allocates
-a fresh trial overlay per (task, processor) probe; here a trial is a
+*tentatively* (paper Section 4.3).  Instead of a fresh
+``TimelineOverlay`` per (task, processor) probe, a trial is a
 **generation**: each row has a tentative layer ``tent_s[r]`` /
 ``tent_e[r]`` plus a stamp ``tent_gen[r]``, and the builder has a
 global counter :attr:`gen`.  A row's tentative layer is live only while
@@ -48,8 +48,8 @@ ready`` with ``[t, t + duration)`` free, insertion scheduling) and
 :func:`joint_next_fit` mirrors ``earliest_joint_fit`` over both layers
 of several rows — the one-port primitive.  Both return existing
 interval endpoints (or ``ready``) unchanged, so the builder computes
-bit-identical times to the object path: same comparisons over the same
-operands, no new arithmetic.
+bit-identical times to ``Timeline`` bookings: same comparisons over the
+same operands, no new arithmetic.
 """
 
 from __future__ import annotations

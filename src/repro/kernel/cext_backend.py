@@ -39,8 +39,7 @@ else:
     # Booking and propagation raise the package's own exception types from C.
     _cext._set_exceptions(SchedulingError, TimelineError, PlatformError)
 
-#: One fallback warning per process (mirrors the object-path warn-once
-#: in :mod:`repro.heuristics.base`); tests reset it directly.
+#: One fallback warning per process; tests reset it directly.
 _WARNED = False
 
 _LOG = _get_logger("kernel")
@@ -108,13 +107,15 @@ class CextBackend(KernelBackend):
     """Compiled booking loop and one-shot propagation; schedules and
     times bit-identical to the python reference."""
 
-    def state_class(self):
+    def state_class(self, model):
+        """The compiled state for models with a C booker, else ``None``
+        (the pure-Python state runs them and records ``flat-python``)."""
         if _cext is None:
             _warn_fallback()
             return None
-        from ..heuristics.state_cext import CextSchedulerState
+        from ..heuristics.state_cext import CextSchedulerState, _model_code
 
-        return CextSchedulerState
+        return CextSchedulerState if _model_code(model) is not None else None
 
     def one_shot_pass(self, tk):
         """``tk``'s one-shot constraint DAG packed for the compiled pass.

@@ -5,17 +5,15 @@ Importing this package registers every model with the registry, so
 """
 
 from .base import (
-    CommState,
-    CommTrial,
     CommunicationModel,
     FlatBooker,
     available_models,
     make_model,
     register_model,
 )
-from .macro_dataflow import MacroDataflowModel, MacroDataflowState
-from .one_port import OnePortModel, OnePortState
-from .routing import RoutedOnePortModel, RoutedOnePortState, build_routing_table
+from .macro_dataflow import MacroDataflowModel
+from .one_port import OnePortModel
+from .routing import RoutedOnePortModel, build_routing_table
 from .variants import (
     NoOverlapOnePortModel,
     UniPortModel,
@@ -24,17 +22,12 @@ from .variants import (
 )
 
 __all__ = [
-    "CommState",
-    "CommTrial",
     "CommunicationModel",
     "FlatBooker",
     "MacroDataflowModel",
-    "MacroDataflowState",
     "NoOverlapOnePortModel",
     "OnePortModel",
-    "OnePortState",
     "RoutedOnePortModel",
-    "RoutedOnePortState",
     "UniPortModel",
     "available_models",
     "build_routing_table",

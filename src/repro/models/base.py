@@ -6,37 +6,20 @@ messages flow simultaneously), the one-port model serializes messages on
 per-processor send/receive ports, and the routed model additionally
 forwards messages hop by hop over a sparse topology.
 
-Heuristics never manipulate ports directly.  Two protocols exist:
-
-**Flat bookers (the construction hot path).**  A model that sets
-``supports_flat`` provides :meth:`CommunicationModel.flat_booker`: a
-stateless-per-candidate booker bound to rows of a
-:class:`~repro.kernel.builder.FlatBuilder`.  ``trial_est`` books a
+Heuristics never manipulate ports directly.  Every model provides
+:meth:`CommunicationModel.flat_booker`: a booker bound to resource rows
+of a :class:`~repro.kernel.builder.FlatBuilder`.  ``trial_est`` books a
 candidate's incoming messages tentatively (generation-stamped, O(1) to
 reject) and ``commit_est`` re-derives and commits them; both take the
 task's parents as interned ``(parent_finish, parent_ix, edge_ix,
 parent_proc)`` rows.  :class:`~repro.heuristics.base.SchedulerState`
-routes every registered heuristic through this path.
+routes every registered heuristic through this protocol.
 
-**Object trials (the reference path).**  The original per-candidate
-mechanism, retained as the cross-check reference and for models without
-a flat booker (multi-hop routing):
-
-1. ``state = model.new_state()`` — fresh resource state for one run;
-2. ``trial = state.trial()`` — tentative view for evaluating *one*
-   candidate placement;
-3. ``trial.edge_arrival(...)`` per incoming edge — books tentative
-   resources, returns when the data reaches the candidate processor;
-4. either drop the trial (candidate rejected) or
-   ``trial.commit(schedule)`` — replay the tentative bookings onto the
-   state and append the corresponding :class:`~repro.core.schedule.CommEvent`
-   records to the schedule.
-
-This mirrors the paper's Section 4.3: "since we have access to current
+This is the paper's Section 4.3: "since we have access to current
 communication schedules for all processors, we can assign the new
-communications as early as possible, in a greedy fashion" — the *trial*
-is how a candidate's communications are placed without disturbing the
-committed schedules of the other candidates.
+communications as early as possible, in a greedy fashion" — the
+tentative layer is how a candidate's communications are placed without
+disturbing the committed schedules of the other candidates.
 
 The registry
 ------------
@@ -47,54 +30,13 @@ heuristics, the CLI, the campaign engine, and the online policies.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from collections.abc import Hashable
 
-from ..core.exceptions import ConfigurationError
+from ..core.exceptions import ConfigurationError, PlatformError
 from ..core.platform import Platform
-from ..core.schedule import Schedule
-
-TaskId = Hashable
 
 _INF = float("inf")
-
-
-class CommTrial(ABC):
-    """Tentative communication bookings for one candidate placement."""
-
-    @abstractmethod
-    def edge_arrival(
-        self,
-        src_task: TaskId,
-        dst_task: TaskId,
-        src_proc: int,
-        dst_proc: int,
-        ready: float,
-        data: float,
-    ) -> float:
-        """Book the transfer of ``data`` items for edge ``src->dst``.
-
-        ``ready`` is the earliest the message may leave (the source
-        task's finish time).  Returns the arrival time at ``dst_proc``
-        (``ready`` itself when both tasks share a processor).  The
-        booking is tentative until :meth:`commit`.
-        """
-
-    @abstractmethod
-    def commit(self, schedule: Schedule) -> None:
-        """Make every tentative booking permanent and record its events."""
-
-
-class CommState(ABC):
-    """Committed communication-resource state for one scheduling run."""
-
-    @abstractmethod
-    def trial(self) -> CommTrial:
-        """A fresh tentative view over this state."""
-
-    def copy(self) -> "CommState":
-        """Deep copy (used by chunk-rescheduling heuristic variants)."""
-        raise NotImplementedError
 
 
 class FlatBooker(ABC):
@@ -130,11 +72,12 @@ class FlatBooker(ABC):
     def commit_est(self, parents, proc: int, out: list) -> float:
         """Commit the same greedy bookings against the committed rows.
 
-        Appends one ``(edge_ix, src_proc, start, duration)`` record per
-        remote parent to ``out`` (in booking order) for the caller to
-        turn into schedule events.  Valid only when the committed rows
-        are unchanged since the candidate was evaluated — the invariant
-        every list heuristic satisfies.
+        Appends one ``(edge_ix, from_proc, to_proc, start, duration,
+        hop)`` record per booked transfer to ``out`` (in booking order;
+        a routed message contributes one record per hop) for the caller
+        to turn into schedule events.  Valid only when the committed
+        rows are unchanged since the candidate was evaluated — the
+        invariant every list heuristic satisfies.
         """
 
     @abstractmethod
@@ -142,28 +85,102 @@ class FlatBooker(ABC):
         """The same booker (same row indices) over a copied builder."""
 
 
+class _JointRowsFlatBooker(FlatBooker):
+    """Greedy bookings along a chain of joint-window hops.
+
+    Subclasses define :meth:`_hops` — the ``(from, to, rows)`` hops a
+    transfer ``q -> r`` takes: one hop for a direct transfer, one per
+    route link for a relayed one.  Each hop books, on every one of its
+    rows, the earliest window free on all of them at once that starts
+    at or after the previous hop's arrival (the source finish for the
+    first hop) — the one-port greedy rule, applied hop by hop.
+    """
+
+    __slots__ = ("builder", "edata", "links", "check_links")
+
+    def __init__(self, builder, statics) -> None:
+        self.builder = builder
+        self.edata = statics.edata
+        self.links = statics.link_rows
+        self.check_links = not statics.all_links_finite
+
+    def rebind(self, builder):
+        # explicit field-by-field copy (subclasses append their row
+        # bases via _rebind_extra): any future mutable builder-derived
+        # state must be reset here, not silently shared
+        dup = object.__new__(type(self))
+        dup.builder = builder
+        dup.edata = self.edata
+        dup.links = self.links
+        dup.check_links = self.check_links
+        self._rebind_extra(dup)
+        return dup
+
+    def _rebind_extra(self, dup) -> None:
+        raise NotImplementedError
+
+    def _hops(self, q: int, r: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        raise NotImplementedError
+
+    def _cost(self, q: int, r: int) -> float:
+        cost = self.links[q][r]
+        if self.check_links and not math.isfinite(cost):
+            raise PlatformError(f"no direct link from P{q} to P{r}")
+        return cost
+
+    def trial_est(self, parents, proc: int, cutoff: float = _INF, duration: float = 0.0) -> float:
+        b = self.builder
+        edata = self.edata
+        est = 0.0
+        for pfinish, _pi, e, pproc in parents:
+            t = pfinish
+            if pproc != proc:
+                for a, c, rows in self._hops(pproc, proc):
+                    dur = edata[e] * self._cost(a, c)
+                    if dur != 0.0:
+                        start = b.joint_next_fit(rows, t, dur)
+                        t = start + dur
+                        for r in rows:
+                            b.book_tentative(r, start, t)
+            if t > est:
+                est = t
+        return est
+
+    def commit_est(self, parents, proc: int, out: list) -> float:
+        b = self.builder
+        edata = self.edata
+        est = 0.0
+        for pfinish, _pi, e, pproc in parents:
+            t = pfinish
+            if pproc != proc:
+                for hop, (a, c, rows) in enumerate(self._hops(pproc, proc)):
+                    dur = edata[e] * self._cost(a, c)
+                    start = t
+                    if dur != 0.0:
+                        start = b.joint_next_fit(rows, t, dur)
+                        t = start + dur
+                        for r in rows:
+                            b.book(r, start, t)
+                    out.append((e, a, c, start, dur, hop))
+            if t > est:
+                est = t
+        return est
+
+
 class CommunicationModel(ABC):
-    """Factory for per-run communication states; carries the model name."""
+    """Factory for per-run flat bookers; carries the model name."""
 
     #: Model identifier, matching :mod:`repro.core.validation` constants.
     name: str = ""
     #: Registry spec name (set by :func:`register_model`).
     registry_name: str = ""
-    #: Whether :meth:`flat_booker` is available (flat construction path).
-    supports_flat: bool = False
 
     def __init__(self, platform: Platform) -> None:
         self.platform = platform
 
     @abstractmethod
-    def new_state(self) -> CommState:
-        """Fresh, empty communication state for a scheduling run."""
-
     def flat_booker(self, builder, statics) -> FlatBooker:
-        """A :class:`FlatBooker` over ``builder`` rows (flat-path models)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no flat booker; use the object path"
-        )
+        """A :class:`FlatBooker` allocating its rows on ``builder``."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(p={self.platform.num_processors})"

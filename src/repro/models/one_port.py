@@ -12,36 +12,22 @@ A transfer ``q -> r`` of ``data`` items books the window
 after the source task's completion at which that window is free on both
 ports — the greedy "as early as possible" rule of Section 4.3.
 
-Two implementations of that rule live here: :class:`OnePortFlatBooker`
-books flat :class:`~repro.kernel.builder.FlatBuilder` rows (the
-construction hot path) and :class:`OnePortTrial` books
-:class:`~repro.core.ports.PortSet` overlays (the retained object
-reference).  Both compute bit-identical windows.
+:class:`OnePortFlatBooker` implements that rule over flat
+:class:`~repro.kernel.builder.FlatBuilder` rows; the compiled engine
+(``kernel/_cextmodule.c``) transliterates its loops.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Hashable
 
 from ..core.exceptions import PlatformError
-from ..core.platform import Platform
-from ..core.ports import PortSet, PortSetOverlay
-from ..core.schedule import Schedule
 from ..obs import current as _obs_current
 from ..core.validation import ONE_PORT
-from .base import (
-    CommState,
-    CommTrial,
-    CommunicationModel,
-    FlatBooker,
-    register_model,
-)
+from .base import CommunicationModel, FlatBooker, register_model
 
 _INF = float("inf")
-
-TaskId = Hashable
 
 
 class OnePortFlatBooker(FlatBooker):
@@ -67,15 +53,18 @@ class OnePortFlatBooker(FlatBooker):
         self.links = statics.link_rows
         self.check_links = not statics.all_links_finite
         #: Memo of each edge's earliest *send-committed* feasible
-        #: start: identical for every candidate processor (the send row
-        #: and ready time do not depend on the destination), it
-        #: lower-bounds the joint window, so later trials may start
-        #: their search there.  Keyed by edge index with value
-        #: ``(send-row version, source proc, ready, seed)`` — an entry
-        #: is live while its send row is unchanged *and* the source
-        #: placement (proc, finish) still matches, so seeds survive
-        #: commits that touch other rows but can never leak across a
-        #: re-placement (chunk rollbacks re-place parents).
+        #: start for one transfer duration: it lower-bounds the joint
+        #: window of every destination whose transfer takes that long
+        #: (the send row and ready time do not depend on the
+        #: destination, but ``data * link(q, r)`` does), so later
+        #: trials may start their search there.  Keyed by edge index
+        #: with value ``(send-row version, source proc, ready,
+        #: duration, seed)`` — an entry is live while its send row is
+        #: unchanged *and* the source placement (proc, finish) and the
+        #: duration still match, so seeds survive commits that touch
+        #: other rows but can never leak across a re-placement (chunk
+        #: rollbacks re-place parents) or to a shorter transfer, which
+        #: may fit a gap the seed skipped.
         self.seed_cache: dict = {}
         #: Active obs collector, captured once (``None`` = stats off).
         self.stats = _obs_current()
@@ -97,7 +86,8 @@ class OnePortFlatBooker(FlatBooker):
     # layer block advances ``t`` to the least feasible instant >= t for
     # that interval list; sweeping the (up to four) layers until none
     # moves reaches the unique least instant free on all of them — the
-    # same value ``earliest_joint_fit`` computes on the object path.
+    # same value ``FlatBuilder.joint_next_fit`` computes over the send
+    # and receive rows.
 
     def trial_est(
         self, parents, proc: int, cutoff: float = _INF, duration: float = 0.0
@@ -155,21 +145,23 @@ class OnePortFlatBooker(FlatBooker):
                 and ent[0] == ver
                 and ent[1] == pproc
                 and ent[2] == pfinish
+                and ent[3] == dur
             ):
                 if self.stats is not None:
                     self.stats.inc("oneport.seed.hit")
-                t = ent[3]
+                t = ent[4]
             else:
                 if self.stats is not None:
                     self.stats.inc("oneport.seed.miss")
-                # first trial of this (edge, source row, window, ready)
-                # since the send row last changed: find the least
-                # send-committed feasible start once — it is
-                # destination-independent and lower-bounds the joint
-                # window, so the other candidate processors' searches
-                # may begin there instead of rescanning from pfinish
-                # (the source proc and ready time are validated on
-                # lookup, so a re-placed parent can never poison it)
+                # first trial of this (edge, source row, ready,
+                # duration) since the send row last changed: find the
+                # least send-committed feasible start once — it
+                # lower-bounds the joint window of every destination
+                # with this transfer duration, so those candidate
+                # processors' searches may begin there instead of
+                # rescanning from pfinish (source proc, ready time and
+                # duration are validated on lookup, so neither a
+                # re-placed parent nor a shorter transfer reuses it)
                 t = pfinish
                 if sce and sce[-1] > t:
                     si = bisect_right(scs, t) - 1
@@ -183,7 +175,7 @@ class OnePortFlatBooker(FlatBooker):
                             t = sce[si]
                             lim = t + dur
                         si += 1
-                seeds[e] = (ver, pproc, pfinish, t)
+                seeds[e] = (ver, pproc, pfinish, dur, t)
             while True:
                 moved = False
                 # send committed ("frontier" fast path: a layer whose
@@ -299,7 +291,7 @@ class OnePortFlatBooker(FlatBooker):
                 raise PlatformError(f"no direct link from P{pproc} to P{proc}")
             dur = edata[e] * cost
             if dur == 0.0:
-                out.append((e, pproc, pfinish, 0.0))
+                out.append((e, pproc, proc, pfinish, 0.0, 0))
                 if pfinish > est:
                     est = pfinish
                 continue
@@ -343,75 +335,17 @@ class OnePortFlatBooker(FlatBooker):
             end = t + dur
             book(rs, t, end)
             book(rr, t, end)
-            out.append((e, pproc, t, dur))
+            out.append((e, pproc, proc, t, dur, 0))
             if end > est:
                 est = end
         return est
 
 
-class OnePortTrial(CommTrial):
-    """Tentative port bookings over a committed :class:`PortSet`."""
-
-    __slots__ = ("_platform", "_overlay", "_pending")
-
-    def __init__(self, platform: Platform, ports: PortSet) -> None:
-        self._platform = platform
-        self._overlay = PortSetOverlay(ports)
-        self._pending: list[tuple] = []
-
-    def edge_arrival(
-        self,
-        src_task: TaskId,
-        dst_task: TaskId,
-        src_proc: int,
-        dst_proc: int,
-        ready: float,
-        data: float,
-    ) -> float:
-        if src_proc == dst_proc:
-            return ready
-        duration = self._platform.comm_time(data, src_proc, dst_proc)
-        start = self._overlay.earliest_transfer(src_proc, dst_proc, ready, duration)
-        self._overlay.reserve_transfer(
-            src_proc, dst_proc, start, duration, tag=(src_task, dst_task)
-        )
-        self._pending.append(
-            (src_task, dst_task, src_proc, dst_proc, start, duration, data)
-        )
-        return start + duration
-
-    def commit(self, schedule: Schedule) -> None:
-        self._overlay.commit()
-        for src_task, dst_task, q, r, start, duration, data in self._pending:
-            schedule.record_comm(src_task, dst_task, q, r, start, duration, data)
-        self._pending.clear()
-
-
-class OnePortState(CommState):
-    """Committed send/receive port timelines for one scheduling run."""
-
-    __slots__ = ("_platform", "ports")
-
-    def __init__(self, platform: Platform, ports: PortSet | None = None) -> None:
-        self._platform = platform
-        self.ports = ports if ports is not None else PortSet(platform.num_processors)
-
-    def trial(self) -> OnePortTrial:
-        return OnePortTrial(self._platform, self.ports)
-
-    def copy(self) -> "OnePortState":
-        return OnePortState(self._platform, self.ports.copy())
-
-
 @register_model("one-port")
 class OnePortModel(CommunicationModel):
-    """Factory for bi-directional one-port communication states."""
+    """Bi-directional one-port: one send and one receive port per processor."""
 
     name = ONE_PORT
-    supports_flat = True
-
-    def new_state(self) -> OnePortState:
-        return OnePortState(self.platform)
 
     def flat_booker(self, builder, statics) -> OnePortFlatBooker:
         return OnePortFlatBooker(builder, statics)

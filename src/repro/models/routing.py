@@ -16,23 +16,20 @@ adjacent processors."  This module implements exactly that extension:
 
 Intermediate processors relay with their ports only — relaying does not
 occupy their compute timeline (communication/computation overlap).
+:class:`RoutedFlatBooker` books the chain on one-port send/receive rows,
+one joint window per route link.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable
 
 import networkx as nx
 
 from ..core.exceptions import PlatformError
 from ..core.platform import Platform
-from ..core.ports import PortSet, PortSetOverlay
-from ..core.schedule import Schedule
 from ..core.validation import ONE_PORT
-from .base import CommState, CommTrial, CommunicationModel, register_model
-
-TaskId = Hashable
+from .base import CommunicationModel, _JointRowsFlatBooker, register_model
 
 
 def build_routing_table(platform: Platform) -> dict[tuple[int, int], list[int]]:
@@ -78,79 +75,38 @@ def build_routing_table(platform: Platform) -> dict[tuple[int, int], list[int]]:
     return table
 
 
-class RoutedOnePortTrial(CommTrial):
-    """Tentative multi-hop bookings over a committed :class:`PortSet`."""
+class RoutedFlatBooker(_JointRowsFlatBooker):
+    """One-port send/recv rows; every link of a route is one hop."""
 
-    __slots__ = ("_platform", "_routes", "_overlay", "_pending")
+    __slots__ = ("chains",)
 
-    def __init__(
-        self,
-        platform: Platform,
-        routes: dict[tuple[int, int], list[int]],
-        ports: PortSet,
-    ) -> None:
-        self._platform = platform
-        self._routes = routes
-        self._overlay = PortSetOverlay(ports)
-        self._pending: list[tuple] = []
+    def __init__(self, builder, statics, routes: dict[tuple[int, int], list[int]]) -> None:
+        super().__init__(builder, statics)
+        p = statics.num_procs
+        send0 = builder.new_rows(p)
+        recv0 = builder.new_rows(p)
+        #: ``chains[q][r]``: the ``(from, to, rows)`` hops of route q -> r.
+        self.chains = [
+            [
+                tuple(
+                    (a, c, (send0 + a, recv0 + c))
+                    for a, c in zip(routes[(q, r)], routes[(q, r)][1:])
+                )
+                for r in range(p)
+            ]
+            for q in range(p)
+        ]
 
-    def edge_arrival(
-        self,
-        src_task: TaskId,
-        dst_task: TaskId,
-        src_proc: int,
-        dst_proc: int,
-        ready: float,
-        data: float,
-    ) -> float:
-        if src_proc == dst_proc:
-            return ready
-        route = self._routes[(src_proc, dst_proc)]
-        t = ready
-        for hop, (a, b) in enumerate(zip(route, route[1:])):
-            duration = self._platform.comm_time(data, a, b)
-            start = self._overlay.earliest_transfer(a, b, t, duration)
-            self._overlay.reserve_transfer(a, b, start, duration, tag=(src_task, dst_task, hop))
-            self._pending.append((src_task, dst_task, a, b, start, duration, data, hop))
-            t = start + duration
-        return t
+    def _rebind_extra(self, dup) -> None:
+        dup.chains = self.chains
 
-    def commit(self, schedule: Schedule) -> None:
-        self._overlay.commit()
-        for src_task, dst_task, a, b, start, duration, data, hop in self._pending:
-            schedule.record_comm(src_task, dst_task, a, b, start, duration, data, hop)
-        self._pending.clear()
-
-
-class RoutedOnePortState(CommState):
-    __slots__ = ("_platform", "_routes", "ports")
-
-    def __init__(
-        self,
-        platform: Platform,
-        routes: dict[tuple[int, int], list[int]],
-        ports: PortSet | None = None,
-    ) -> None:
-        self._platform = platform
-        self._routes = routes
-        self.ports = ports if ports is not None else PortSet(platform.num_processors)
-
-    def trial(self) -> RoutedOnePortTrial:
-        return RoutedOnePortTrial(self._platform, self._routes, self.ports)
-
-    def copy(self) -> "RoutedOnePortState":
-        return RoutedOnePortState(self._platform, self._routes, self.ports.copy())
+    def _hops(self, q: int, r: int):
+        return self.chains[q][r]
 
 
 @register_model("routed")
 class RoutedOnePortModel(CommunicationModel):
-    """One-port model over an arbitrary (connected) topology.
-
-    Multi-hop chains have no flat booker (``supports_flat`` stays
-    False), so heuristics run this model through the retained object
-    path — mirroring how :func:`repro.simulate.replay` falls back for
-    multi-hop decision sets.
-    """
+    """One-port model over an arbitrary (connected) topology."""
 
     name = ONE_PORT
 
@@ -158,5 +114,5 @@ class RoutedOnePortModel(CommunicationModel):
         super().__init__(platform)
         self.routes = build_routing_table(platform)
 
-    def new_state(self) -> RoutedOnePortState:
-        return RoutedOnePortState(self.platform, self.routes)
+    def flat_booker(self, builder, statics) -> RoutedFlatBooker:
+        return RoutedFlatBooker(builder, statics, self.routes)

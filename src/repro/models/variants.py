@@ -28,113 +28,11 @@ one-port rule still holds), plus extra structure checked by
 
 from __future__ import annotations
 
-import math
-from collections.abc import Hashable, Sequence
-
-from ..core.exceptions import PlatformError, ValidationError
+from ..core.exceptions import ValidationError
 from ..core.schedule import Schedule
-from ..core.timeline import Timeline, TimelineOverlay, earliest_joint_fit
 from ..core.tolerance import time_tol
 from ..core.validation import ONE_PORT, validate_schedule
-from .base import (
-    CommState,
-    CommTrial,
-    CommunicationModel,
-    FlatBooker,
-    register_model,
-)
-
-_INF = float("inf")
-
-TaskId = Hashable
-
-
-class _JointRowsFlatBooker(FlatBooker):
-    """Shared flat booking: one joint window over a per-edge row set.
-
-    Subclasses define :meth:`_rows` — the builder rows a transfer
-    ``q -> r`` must occupy simultaneously.  The booking itself is the
-    same greedy rule as one-port: the earliest window at or after the
-    source finish free on *all* rows at once, booked on each.
-    """
-
-    __slots__ = ("builder", "edata", "links", "check_links")
-
-    def __init__(self, builder, statics) -> None:
-        self.builder = builder
-        self.edata = statics.edata
-        self.links = statics.link_rows
-        self.check_links = not statics.all_links_finite
-
-    def rebind(self, builder):
-        # explicit field-by-field copy (subclasses append their row
-        # bases via _rebind_extra): any future mutable builder-derived
-        # state must be reset here, not silently shared
-        dup = object.__new__(type(self))
-        dup.builder = builder
-        dup.edata = self.edata
-        dup.links = self.links
-        dup.check_links = self.check_links
-        self._rebind_extra(dup)
-        return dup
-
-    def _rebind_extra(self, dup) -> None:
-        raise NotImplementedError
-
-    def _rows(self, q: int, r: int) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def _cost(self, q: int, r: int) -> float:
-        cost = self.links[q][r]
-        if self.check_links and not math.isfinite(cost):
-            raise PlatformError(f"no direct link from P{q} to P{r}")
-        return cost
-
-    def trial_est(self, parents, proc: int, cutoff: float = _INF, duration: float = 0.0) -> float:
-        b = self.builder
-        edata = self.edata
-        est = 0.0
-        for pfinish, _pi, e, pproc in parents:
-            if pproc == proc:
-                arr = pfinish
-            else:
-                dur = edata[e] * self._cost(pproc, proc)
-                if dur == 0.0:
-                    arr = pfinish
-                else:
-                    rows = self._rows(pproc, proc)
-                    start = b.joint_next_fit(rows, pfinish, dur)
-                    end = start + dur
-                    for r in rows:
-                        b.book_tentative(r, start, end)
-                    arr = end
-            if arr > est:
-                est = arr
-        return est
-
-    def commit_est(self, parents, proc: int, out: list) -> float:
-        b = self.builder
-        edata = self.edata
-        est = 0.0
-        for pfinish, _pi, e, pproc in parents:
-            if pproc == proc:
-                arr = pfinish
-            else:
-                dur = edata[e] * self._cost(pproc, proc)
-                if dur == 0.0:
-                    out.append((e, pproc, pfinish, 0.0))
-                    arr = pfinish
-                else:
-                    rows = self._rows(pproc, proc)
-                    start = b.joint_next_fit(rows, pfinish, dur)
-                    end = start + dur
-                    for r in rows:
-                        b.book(r, start, end)
-                    out.append((e, pproc, start, dur))
-                    arr = end
-            if arr > est:
-                est = arr
-        return est
+from .base import CommunicationModel, _JointRowsFlatBooker, register_model
 
 
 class UniPortFlatBooker(_JointRowsFlatBooker):
@@ -149,8 +47,8 @@ class UniPortFlatBooker(_JointRowsFlatBooker):
     def _rebind_extra(self, dup) -> None:
         dup.port0 = self.port0
 
-    def _rows(self, q: int, r: int) -> tuple[int, int]:
-        return (self.port0 + q, self.port0 + r)
+    def _hops(self, q: int, r: int):
+        return ((q, r, (self.port0 + q, self.port0 + r)),)
 
 
 class NoOverlapFlatBooker(_JointRowsFlatBooker):
@@ -158,7 +56,7 @@ class NoOverlapFlatBooker(_JointRowsFlatBooker):
 
     The compute rows are the builder's own rows ``0 .. p-1`` — the same
     rows task executions occupy — so a transfer excludes computation on
-    its endpoints exactly as the object path's bound compute timelines.
+    both its endpoints.
     """
 
     __slots__ = ("send0", "recv0")
@@ -172,72 +70,8 @@ class NoOverlapFlatBooker(_JointRowsFlatBooker):
         dup.send0 = self.send0
         dup.recv0 = self.recv0
 
-    def _rows(self, q: int, r: int) -> tuple[int, int, int, int]:
-        return (self.send0 + q, self.recv0 + r, q, r)
-
-
-class _SinglePortSet:
-    """One shared send+receive port timeline per processor."""
-
-    __slots__ = ("port",)
-
-    def __init__(self, num_processors: int) -> None:
-        self.port = [Timeline() for _ in range(num_processors)]
-
-    def copy(self) -> "_SinglePortSet":
-        dup = _SinglePortSet(len(self.port))
-        dup.port = [t.copy() for t in self.port]
-        return dup
-
-
-class UniPortTrial(CommTrial):
-    __slots__ = ("_platform", "_ports", "_overlays", "_pending")
-
-    def __init__(self, platform, ports: _SinglePortSet) -> None:
-        self._platform = platform
-        self._ports = ports
-        self._overlays: dict[int, TimelineOverlay] = {}
-        self._pending: list[tuple] = []
-
-    def _view(self, proc: int) -> TimelineOverlay:
-        view = self._overlays.get(proc)
-        if view is None:
-            view = self._overlays[proc] = TimelineOverlay(self._ports.port[proc])
-        return view
-
-    def edge_arrival(self, src_task, dst_task, src_proc, dst_proc, ready, data):
-        if src_proc == dst_proc:
-            return ready
-        duration = self._platform.comm_time(data, src_proc, dst_proc)
-        views = [self._view(src_proc), self._view(dst_proc)]
-        start = earliest_joint_fit(views, ready, duration)
-        tag = (src_task, dst_task)
-        for view in views:
-            view.reserve(start, start + duration, tag)
-        self._pending.append((src_task, dst_task, src_proc, dst_proc, start, duration, data))
-        return start + duration
-
-    def commit(self, schedule: Schedule) -> None:
-        for view in self._overlays.values():
-            view.commit()
-        self._overlays.clear()
-        for src_task, dst_task, q, r, start, duration, data in self._pending:
-            schedule.record_comm(src_task, dst_task, q, r, start, duration, data)
-        self._pending.clear()
-
-
-class UniPortState(CommState):
-    __slots__ = ("_platform", "ports")
-
-    def __init__(self, platform, ports: _SinglePortSet | None = None) -> None:
-        self._platform = platform
-        self.ports = ports if ports is not None else _SinglePortSet(platform.num_processors)
-
-    def trial(self) -> UniPortTrial:
-        return UniPortTrial(self._platform, self.ports)
-
-    def copy(self) -> "UniPortState":
-        return UniPortState(self._platform, self.ports.copy())
+    def _hops(self, q: int, r: int):
+        return ((q, r, (self.send0 + q, self.recv0 + r, q, r)),)
 
 
 @register_model("uni-port")
@@ -245,128 +79,20 @@ class UniPortModel(CommunicationModel):
     """Uni-directional one-port: one shared port per processor."""
 
     name = ONE_PORT  # schedules satisfy (and exceed) the one-port rules
-    supports_flat = True
-
-    def new_state(self) -> UniPortState:
-        return UniPortState(self.platform)
 
     def flat_booker(self, builder, statics) -> UniPortFlatBooker:
         return UniPortFlatBooker(builder, statics)
 
 
-class NoOverlapTrial(CommTrial):
-    """Bi-directional ports + compute stalls during transfers.
-
-    The compute timelines are the scheduler's own (bound through
-    :meth:`NoOverlapOnePortModel.bind_compute`), overlaid tentatively
-    like the ports, so a transfer excludes computation on both endpoint
-    processors for its duration.
-    """
-
-    __slots__ = ("_platform", "_state", "_overlays", "_pending")
-
-    def __init__(self, platform, state: "NoOverlapState") -> None:
-        self._platform = platform
-        self._state = state
-        self._overlays: dict[tuple[str, int], TimelineOverlay] = {}
-        self._pending: list[tuple] = []
-
-    def _view(self, kind: str, proc: int) -> TimelineOverlay:
-        key = (kind, proc)
-        view = self._overlays.get(key)
-        if view is None:
-            if kind == "send":
-                base = self._state.send[proc]
-            elif kind == "recv":
-                base = self._state.recv[proc]
-            else:
-                base = self._state.compute[proc]
-            view = self._overlays[key] = TimelineOverlay(base)
-        return view
-
-    def edge_arrival(self, src_task, dst_task, src_proc, dst_proc, ready, data):
-        if src_proc == dst_proc:
-            return ready
-        duration = self._platform.comm_time(data, src_proc, dst_proc)
-        views = [
-            self._view("send", src_proc),
-            self._view("recv", dst_proc),
-            self._view("compute", src_proc),
-            self._view("compute", dst_proc),
-        ]
-        start = earliest_joint_fit(views, ready, duration)
-        tag = (src_task, dst_task)
-        for view in views:
-            view.reserve(start, start + duration, tag)
-        self._pending.append((src_task, dst_task, src_proc, dst_proc, start, duration, data))
-        return start + duration
-
-    def commit(self, schedule: Schedule) -> None:
-        for view in self._overlays.values():
-            view.commit()
-        self._overlays.clear()
-        for src_task, dst_task, q, r, start, duration, data in self._pending:
-            schedule.record_comm(src_task, dst_task, q, r, start, duration, data)
-        self._pending.clear()
-
-
-class NoOverlapState(CommState):
-    __slots__ = ("_platform", "send", "recv", "compute")
-
-    def __init__(self, platform, compute: Sequence[Timeline]) -> None:
-        self._platform = platform
-        self.send = [Timeline() for _ in platform.processors]
-        self.recv = [Timeline() for _ in platform.processors]
-        self.compute = list(compute)
-
-    def trial(self) -> NoOverlapTrial:
-        return NoOverlapTrial(self._platform, self)
-
-    def copy(self) -> "NoOverlapState":
-        # compute timelines are owned by the scheduler state, which
-        # copies them itself on snapshot; here we share references and
-        # copy only the ports.  Chunk-rescheduling variants therefore
-        # rebuild the state from the snapshot's compute timelines.
-        dup = NoOverlapState.__new__(NoOverlapState)
-        dup._platform = self._platform
-        dup.send = [t.copy() for t in self.send]
-        dup.recv = [t.copy() for t in self.recv]
-        dup.compute = self.compute
-        return dup
-
-
 @register_model("no-overlap")
 class NoOverlapOnePortModel(CommunicationModel):
-    """One-port without communication/computation overlap.
-
-    On the object path the scheduler's compute timelines must be bound
-    before trials are created;
-    :class:`~repro.heuristics.state_object.ObjectSchedulerState` does
-    this automatically when the model exposes ``wants_compute``.  The
-    flat path needs no binding — the booker occupies the builder's own
-    compute rows.
-    """
+    """One-port without communication/computation overlap: a transfer
+    also occupies the builder's compute rows of both its endpoints."""
 
     name = ONE_PORT
-    wants_compute = True
-    supports_flat = True
 
     def flat_booker(self, builder, statics) -> NoOverlapFlatBooker:
         return NoOverlapFlatBooker(builder, statics)
-
-    def __init__(self, platform) -> None:
-        super().__init__(platform)
-        self._compute: Sequence[Timeline] | None = None
-
-    def bind_compute(self, compute: Sequence[Timeline]) -> None:
-        self._compute = compute
-
-    def new_state(self) -> NoOverlapState:
-        if self._compute is None:
-            raise ValidationError(
-                "NoOverlapOnePortModel needs bind_compute(...) before use"
-            )
-        return NoOverlapState(self.platform, self._compute)
 
 
 def validate_uni_port(schedule: Schedule) -> None:

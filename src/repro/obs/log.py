@@ -1,6 +1,6 @@
 """``repro``-namespaced logging with the ``REPRO_LOG`` env knob.
 
-All library diagnostics (object-path fallback warnings, perf notes)
+All library diagnostics (kernel backend fallback warnings, perf notes)
 flow through loggers under the ``"repro"`` root so embedding services
 can capture, filter, or silence them with the standard :mod:`logging`
 machinery instead of :mod:`warnings` filters.

@@ -88,8 +88,8 @@ class PlanningPolicy(Policy):
     """Shared base of the plan-carrying policies: heuristic + model.
 
     Planning and re-planning run the heuristic through the flat builder
-    ``SchedulerState`` (every registered heuristic does), so policy
-    wake-ups pay the flat construction cost, not the object path's.
+    ``SchedulerState`` (every registered heuristic does, under every
+    model), so policy wake-ups pay the flat construction cost.
     """
 
     def __init__(

@@ -1,7 +1,7 @@
 """Cross-backend equivalence: the cext backend vs pure Python.
 
 The acceptance property of the backend registry: for every registered
-heuristic x flat-capable model x testbed, the compiled backend
+heuristic x model with a C booker x testbed, the compiled backend
 ``cext`` (``CextSchedulerState``: the C booking engine) produces
 *bit-identical* schedules — placements, starts, finishes, and
 communication events, exact float equality — against the pure-Python
@@ -9,12 +9,11 @@ default.
 
 Also here: the backend registry surface (selection precedence, unknown
 names, the ``REPRO_BACKEND`` environment channel and its warning on an
-unregistered value) and the
-fallback-visibility regressions — a model without a flat booker must
-say so (one ``repro.heuristics`` log warning), a ``cext`` selection
-without the compiled extension must degrade to the pure-Python state
-with one ``repro.kernel`` warning, and ``Schedule.state_impl`` must
-record the engine that actually ran.
+unregistered value) and the engine-visibility regressions — a model
+without a C booker runs the pure-Python state under ``cext`` without a
+warning, a ``cext`` selection without the compiled extension must
+degrade to the pure-Python state with one ``repro.kernel`` warning, and
+``Schedule.state_impl`` must record the engine that actually ran.
 """
 
 import logging
@@ -27,7 +26,6 @@ from repro.core import TaskGraph
 from repro.core.exceptions import ConfigurationError
 from repro.graphs import irregular_testbed, layered_testbed, lu_graph
 from repro.heuristics import available_schedulers, get_scheduler
-from repro.heuristics.base import _FALLBACK_WARNED
 from repro.kernel import backends, cext_backend
 from repro.kernel.backends import (
     available_backends,
@@ -38,7 +36,7 @@ from repro.kernel.backends import (
     use_backend,
 )
 from repro.kernel.cext_backend import cext_available
-from repro.models import RoutedOnePortModel, make_model
+from repro.models import OnePortModel, RoutedOnePortModel, available_models, make_model
 
 #: The accelerated backend under test, compared against the pure-Python
 #: reference; its rows skip when the extension isn't built.
@@ -248,10 +246,10 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# fallback visibility (regression: the routed model used to fall back
-# to the object path silently)
+# engine visibility: every model runs a flat engine, and the schedule
+# says which one
 # ----------------------------------------------------------------------
-class TestFallbackVisibility:
+class TestEngineVisibility:
     def _routed_run(self):
         inf = math.inf
         line = Platform(
@@ -265,34 +263,42 @@ class TestFallbackVisibility:
         alloc = {"u": 0, "v": 2, "w": 0}
         return get_scheduler("fixed", alloc=alloc), graph, line
 
-    def test_object_fallback_warns_once_and_is_recorded(self, caplog):
+    @pytest.mark.parametrize("backend", ["python", *ACCEL_BACKENDS])
+    def test_routed_runs_flat_python_without_warning(self, backend, caplog):
+        """No C booker for routed: under every backend it runs (and
+        records) the pure-Python flat state, and nothing warns."""
         scheduler, graph, line = self._routed_run()
-        _FALLBACK_WARNED.discard("routed")
-        with caplog.at_level(logging.WARNING, logger="repro.heuristics"):
-            sched = scheduler.run(graph, line, RoutedOnePortModel(line))
-            again = scheduler.run(graph, line, RoutedOnePortModel(line))
-        fallback = [r for r in caplog.records if "no flat booker" in r.getMessage()]
-        assert len(fallback) == 1, "expected exactly one fallback warning"
-        assert fallback[0].levelno == logging.WARNING
-        assert fallback[0].name == "repro.heuristics"
-        assert sched.state_impl == "object"
-        assert again.state_impl == "object"
-
-    def test_cext_backend_does_not_apply_to_object_path(self, caplog):
-        """Backend selection is a flat-path concern: the routed model
-        still runs (and says so) on the object path under cext."""
-        scheduler, graph, line = self._routed_run()
-        _FALLBACK_WARNED.discard("routed")
-        with use_backend("cext"):
-            with caplog.at_level(logging.WARNING, logger="repro.heuristics"):
+        with use_backend(backend):
+            with caplog.at_level(logging.WARNING, logger="repro"):
                 sched = scheduler.run(graph, line, RoutedOnePortModel(line))
-        assert sched.state_impl == "object"
-        assert any("no flat booker" in r.getMessage() for r in caplog.records)
+        assert sched.state_impl == "flat-python"
+        assert [(h.src_proc, h.dst_proc) for h in sched.comm_events] == [
+            (0, 1), (1, 2), (2, 1), (1, 0),
+        ]
+        assert not caplog.records
 
-    def test_flat_models_do_not_warn(self, paper_platform, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.heuristics"):
-            get_scheduler("heft").run(lu_graph(4), paper_platform, "one-port")
-        assert not [r for r in caplog.records if "no flat booker" in r.getMessage()]
+    @pytest.mark.parametrize("backend", ["python", *ACCEL_BACKENDS])
+    @pytest.mark.parametrize("model_name", available_models())
+    def test_every_model_records_its_engine(self, model_name, backend, paper_platform):
+        with use_backend(backend):
+            sched = get_scheduler("heft").run(lu_graph(4), paper_platform, model_name)
+        expected = "flat-python" if backend == "python" or model_name == "routed" else "flat-cext"
+        assert sched.state_impl == expected
+
+    @needs_cext
+    def test_model_subclass_runs_python_engine(self, paper_platform):
+        """The C bookers match exact model types: a subclass (which may
+        override booking) runs the pure-Python state under cext."""
+
+        class TracedOnePort(OnePortModel):
+            pass
+
+        graph = lu_graph(6)
+        with use_backend("cext"):
+            sched = get_scheduler("heft").run(graph, paper_platform, TracedOnePort(paper_platform))
+        ref = run_on_backend(get_scheduler("heft"), graph, paper_platform, "one-port", "python")
+        assert sched.state_impl == "flat-python"
+        assert_identical(ref, sched)
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +320,9 @@ class TestCextGracefulDegradation:
         assert "repro.kernel._cext" in cext_backend.cext_import_error()
         assert cext_backend.cext_build_info() is None
 
-    def test_backend_still_registered(self, no_extension):
+    def test_backend_still_registered(self, no_extension, paper_platform):
         assert "cext" in available_backends()
-        assert get_backend("cext").state_class() is None
+        assert get_backend("cext").state_class(OnePortModel(paper_platform)) is None
 
     def test_falls_back_to_python_state_with_one_warning(
         self, no_extension, paper_platform, caplog

@@ -1,8 +1,10 @@
 """Unit tests for the shared scheduler machinery (state, queue, registry).
 
 ``state_cls`` parametrizes the behavioral tests over both
-implementations of the ``SchedulerState`` contract: the flat builder
-path (the default) and the retained object reference path.
+implementations of the ``SchedulerState`` contract: it is
+``SchedulerState`` itself, constructed with the kernel backend pinned
+to ``python`` (the pure-Python reference) or to ``cext`` (the compiled
+engine; skipped when the extension is not built).
 """
 
 import pytest
@@ -10,8 +12,11 @@ import pytest
 from repro.core import ConfigurationError, Platform, SchedulingError, TaskGraph
 from repro.heuristics import available_schedulers, get_scheduler, make_model
 from repro.heuristics.base import ReadyQueue, SchedulerState
-from repro.heuristics.state_object import ObjectSchedulerState
-from repro.models import MacroDataflowModel, OnePortModel
+from repro.kernel.backends import current_backend, use_backend
+from repro.kernel.cext_backend import cext_available
+from repro.models import MacroDataflowModel, OnePortModel, RoutedOnePortModel
+
+needs_cext = pytest.mark.skipif(not cext_available(), reason="cext extension not built")
 
 
 @pytest.fixture
@@ -19,9 +24,11 @@ def platform():
     return Platform.homogeneous(2, cycle_time=1.0, link=1.0)
 
 
-@pytest.fixture(params=["flat", "object"])
+@pytest.fixture(params=["python", pytest.param("cext", marks=needs_cext)])
 def state_cls(request):
-    return SchedulerState if request.param == "flat" else ObjectSchedulerState
+    """``SchedulerState`` with the kernel backend pinned for the test."""
+    with use_backend(request.param):
+        yield SchedulerState
 
 
 @pytest.fixture
@@ -51,24 +58,19 @@ class TestMakeModel:
 
 class TestSchedulerState:
     def test_dispatch_picks_flat_path(self, vee, platform):
-        from repro.heuristics import force_object_state
-        from repro.kernel.backends import current_backend
-
-        # the flat class the active kernel backend asks for (None means
-        # the default pure-Python SchedulerState), so the assertion
-        # holds under REPRO_BACKEND=cext too
-        expected = current_backend().state_class() or SchedulerState
-        state = SchedulerState(vee, platform, OnePortModel(platform))
+        # the class the active kernel backend asks for (None means the
+        # default pure-Python SchedulerState), so the assertion holds
+        # under REPRO_BACKEND=cext too
+        model = OnePortModel(platform)
+        expected = current_backend().state_class(model) or SchedulerState
+        state = SchedulerState(vee, platform, model)
         assert type(state) is expected
-        with force_object_state():
-            forced = SchedulerState(vee, platform, OnePortModel(platform))
-        assert type(forced) is ObjectSchedulerState
 
-    def test_routed_model_falls_back_to_object_path(self, vee, platform):
-        from repro.models import RoutedOnePortModel
-
-        state = SchedulerState(vee, platform, RoutedOnePortModel(platform))
-        assert type(state) is ObjectSchedulerState
+    def test_routed_model_dispatches_to_flat_state(self, vee, platform, state_cls):
+        """No C booker for routed: every backend runs the Python state."""
+        state = state_cls(vee, platform, RoutedOnePortModel(platform))
+        assert type(state) is SchedulerState
+        assert state.schedule.state_impl == "flat-python"
 
     def test_evaluate_does_not_mutate(self, vee, platform, state_cls):
         state = state_cls(vee, platform, OnePortModel(platform))
@@ -83,13 +85,16 @@ class TestSchedulerState:
         state.commit(c0)
         assert state.schedule.finish_of("c") == c0.finish
 
-    def test_object_trial_leaves_ports_untouched(self, vee, platform):
-        state = ObjectSchedulerState(vee, platform, OnePortModel(platform))
+    def test_trial_leaves_ports_untouched(self, vee, platform, state_cls):
+        state = state_cls(vee, platform, OnePortModel(platform))
         state.schedule_on("a", 0)
         state.schedule_on("b", 1)
         state.evaluate("c", 0)
         state.evaluate("c", 1)
-        assert state.comm.ports.send[1].is_empty()
+        # one-port rows: compute 0..p-1, then send p..2p-1, recv 2p..3p-1
+        p = platform.num_processors
+        assert state.builder.committed(p + 1) == []  # P1's send port
+        assert state.builder.committed(2 * p) == []  # P0's receive port
 
     def test_commit_books_everything(self, vee, platform, state_cls):
         state = state_cls(vee, platform, OnePortModel(platform))

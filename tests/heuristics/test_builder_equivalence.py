@@ -1,16 +1,31 @@
-"""Flat builder vs object reference: bit-identical construction.
+"""Flat construction vs the frozen object reference: bit-identical schedules.
 
 The acceptance property of the builder layer: for every registered
-heuristic x flat-capable model x testbed, running the heuristic through
-the default flat ``SchedulerState`` produces *bit-identical* schedules
-(placements and communication events, exact float equality — no
-tolerance) to the retained object-level implementation forced by
-:func:`repro.heuristics.force_object_state`.
+heuristic x model x testbed, running the heuristic through
+``SchedulerState`` produces *bit-identical* schedules (placements and
+communication events, exact float equality — no tolerance) to the
+object-level implementation the flat path replaced.  That
+implementation (one ``Timeline`` per resource and a ``TimelineOverlay``
+trial per candidate) is no longer in the package; its verdicts were
+frozen before it went.  ``object_digests.json`` holds, per case, the
+SHA-256 of the object path's schedule (see :func:`schedule_digest`) and
+its makespan; every case here recomputes the digest on the active
+kernel backend and must match.
+
+Cases: the heuristic matrix on the paper platform and on the
+``skewed-links`` platform (asymmetric, non-dyadic link costs — where
+per-destination transfer durations differ), the routed model on three
+sparse topologies, the singletons below, and the slow 1000-task fuzz.
 
 Also here: the no-trace property (rejected candidates leave the flat
-state untouched) and golden schedules pinning the flat path to the
-hand-checked figures.
+state untouched) and the booker-rebinding and missing-link regressions.
 """
+
+import functools
+import hashlib
+import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -22,20 +37,17 @@ from repro.graphs import (
     lu_graph,
     toy_graph,
 )
-from repro.heuristics import (
-    available_schedulers,
-    force_object_state,
-    get_scheduler,
-)
+from repro.heuristics import available_schedulers, get_scheduler
 from repro.heuristics.base import SchedulerState
-from repro.heuristics.state_object import ObjectSchedulerState
 from repro.models import (
     MacroDataflowModel,
     NoOverlapOnePortModel,
     OnePortModel,
+    RoutedOnePortModel,
     UniPortModel,
     make_model,
 )
+from test_backend_equivalence import PLATFORMS as OTHER_PLATFORMS
 
 TESTBEDS = {
     "lu": lambda: lu_graph(8),
@@ -53,94 +65,224 @@ SCHEDULER_KWARGS = {
     "ilha": {"b": 4, "single_comm_scan": True, "reschedule": True},
 }
 
+SWEPT = [n for n in available_schedulers() if SCHEDULER_KWARGS.get(n, {}) is not None]
+
 MODELS = ["one-port", "macro-dataflow", "uni-port", "no-overlap"]
 
 
-def assert_identical(flat, ref):
-    """Exact equality of two schedules, field by field."""
-    assert flat.placements.keys() == ref.placements.keys()
-    for task, placement in flat.placements.items():
-        other = ref.placements[task]
-        assert placement.proc == other.proc, f"proc drift on {task!r}"
-        assert placement.start == other.start, f"start drift on {task!r}"
-        assert placement.finish == other.finish, f"finish drift on {task!r}"
-    assert sorted(flat.comm_events) == sorted(ref.comm_events)
-    assert flat.makespan() == ref.makespan()
+def _paper() -> Platform:
+    """Section 5.2: 5x t=6, 3x t=10, 2x t=15 on a unit network."""
+    return Platform.from_groups([(5, 6), (3, 10), (2, 15)])
 
 
-def run_both(scheduler, graph, platform, model_name):
-    flat = scheduler.run(graph, platform, make_model(platform, model_name))
-    with force_object_state():
-        ref = scheduler.run(graph, platform, make_model(platform, model_name))
-    return flat, ref
+def _sparse(cycle_times: list[float], links: dict[tuple[int, int], float]) -> Platform:
+    p = len(cycle_times)
+    return Platform(
+        cycle_times,
+        [[0.0 if i == j else links.get((i, j), math.inf) for j in range(p)] for i in range(p)],
+    )
+
+
+#: Routed-model topologies: every multi-hop pair relays store-and-forward.
+SPARSE = {
+    # ring whose two directions cost differently on every link
+    "ring5": lambda: _sparse(
+        [6.0, 10.0, 15.0, 6.0, 10.0],
+        {(i, (i + 1) % 5): 0.5 + 0.35 * i for i in range(5)}
+        | {((i + 1) % 5, i): 1.2 - 0.15 * i for i in range(5)},
+    ),
+    "line4": lambda: _sparse(
+        [4.0, 9.0, 9.0, 4.0],
+        {(i, i + 1): 1.25 for i in range(3)} | {(i + 1, i): 1.25 for i in range(3)},
+    ),
+    "star6": lambda: _sparse(
+        [6.0, 6.0, 10.0, 10.0, 15.0, 15.0],
+        {(0, i): 0.75 for i in range(1, 6)} | {(i, 0): 1.1 for i in range(1, 6)},
+    ),
+}
+
+
+def _run(scheduler, graph, platform_fn, model_name):
+    def run():
+        platform = platform_fn()
+        return scheduler().run(graph(), platform, make_model(platform, model_name))
+
+    return run
+
+
+def _swept(name):
+    return functools.partial(get_scheduler, name, **SCHEDULER_KWARGS.get(name, {}))
+
+
+def _toy_zero_data():
+    graph = toy_graph()
+    for u, v in list(graph.edges())[:2]:
+        graph.set_data(u, v, 0.0)
+    return graph
+
+
+def _fixed_lu6():
+    graph = lu_graph(6)
+    return get_scheduler("fixed", alloc={v: i % 3 for i, v in enumerate(graph.tasks())})
+
+
+def _hetero3() -> Platform:
+    return Platform([1.0, 2.0, 3.0], [[0.0, 1.0, 2.5], [1.5, 0.0, 0.5], [2.0, 1.0, 0.0]])
+
+
+#: Every frozen case: id -> thunk building the schedule on the active path.
+CASES = {}
+for _name in SWEPT:
+    for _bed in TESTBEDS:
+        for _model in MODELS:
+            CASES[f"paper/{_name}-{_bed}-{_model}"] = _run(
+                _swept(_name), TESTBEDS[_bed], _paper, _model
+            )
+            CASES[f"skewed-links/{_name}-{_bed}-{_model}"] = _run(
+                _swept(_name), TESTBEDS[_bed], OTHER_PLATFORMS["skewed-links"], _model
+            )
+        for _plat in SPARSE:
+            CASES[f"routed/{_name}-{_bed}-{_plat}"] = _run(
+                _swept(_name), TESTBEDS[_bed], SPARSE[_plat], "routed"
+            )
+for _model in MODELS:
+    CASES[f"fixed/{_model}"] = _run(_fixed_lu6, lambda: lu_graph(6), _paper, _model)
+    CASES[f"hetero-links/{_model}"] = _run(
+        HEFT, lambda: layered_testbed(4, seed=11), _hetero3, _model
+    )
+CASES["zero-data/heft-one-port"] = _run(HEFT, _toy_zero_data, _paper, "one-port")
+CASES["toy/heft-one-port"] = _run(
+    HEFT, toy_graph, lambda: Platform.homogeneous(2, cycle_time=1.0, link=1.0), "one-port"
+)
+CASES["fork-join/ilha-one-port"] = _run(
+    lambda: ILHA(b=4), lambda: fork_join_graph(16), _paper, "one-port"
+)
+CASES["reschedule/ilha-one-port"] = _run(
+    lambda: ILHA(b=4, reschedule=True), lambda: lu_graph(8), _paper, "one-port"
+)
+for _seed in range(5):
+    for _label, _sched in (("heft", HEFT), ("ilha", lambda: ILHA(b=8))):
+        for _model in ("one-port", "macro-dataflow"):
+            CASES[f"fuzz/{_seed}-{_label}-{_model}"] = _run(
+                _sched,
+                functools.partial(irregular_testbed, 1000, seed=_seed),
+                _paper,
+                _model,
+            )
+
+
+def schedule_digest(schedule) -> str:
+    """SHA-256 over every placement and communication event.
+
+    Floats enter as ``float.hex`` (exact), tasks as ``repr``; both
+    record kinds are sorted, so the digest ignores recording order.
+    """
+    lines = sorted(
+        f"P {task!r} {p.proc} {float(p.start).hex()} {float(p.finish).hex()}"
+        for task, p in schedule.placements.items()
+    )
+    lines += sorted(
+        f"C {e.src_task!r} {e.dst_task!r} {e.src_proc} {e.dst_proc} "
+        f"{float(e.start).hex()} {float(e.finish).hex()} {float(e.data).hex()} {e.hop}"
+        for e in schedule.comm_events
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@functools.cache
+def _frozen() -> dict:
+    return json.loads(Path(__file__).with_name("object_digests.json").read_text())
+
+
+def assert_matches_frozen(case_id: str) -> None:
+    schedule = CASES[case_id]()
+    assert schedule.state_impl.startswith("flat-"), schedule.state_impl
+    want = _frozen()[case_id]
+    assert schedule.makespan() == want["makespan"], f"{case_id}: makespan drift"
+    assert schedule_digest(schedule) == want["sha256"], f"{case_id}: schedule drift"
+
+
+def test_every_case_is_frozen():
+    assert sorted(_frozen()) == sorted(CASES)
 
 
 @pytest.mark.parametrize("model_name", MODELS)
 @pytest.mark.parametrize("testbed", sorted(TESTBEDS))
-@pytest.mark.parametrize("name", [n for n in available_schedulers()
-                                  if SCHEDULER_KWARGS.get(n, {}) is not None])
-def test_flat_matches_object_for_every_heuristic(
-    name, testbed, model_name, paper_platform
-):
-    graph = TESTBEDS[testbed]()
-    scheduler = get_scheduler(name, **SCHEDULER_KWARGS.get(name, {}))
-    flat, ref = run_both(scheduler, graph, paper_platform, model_name)
-    assert_identical(flat, ref)
+@pytest.mark.parametrize("name", SWEPT)
+def test_flat_matches_object_for_every_heuristic(name, testbed, model_name):
+    assert_matches_frozen(f"paper/{name}-{testbed}-{model_name}")
 
 
-def test_fixed_allocation_equivalence(paper_platform):
-    graph = lu_graph(6)
-    alloc = {v: i % 3 for i, v in enumerate(graph.tasks())}
-    scheduler = get_scheduler("fixed", alloc=alloc)
+@pytest.mark.parametrize("model_name", MODELS)
+@pytest.mark.parametrize("testbed", sorted(TESTBEDS))
+@pytest.mark.parametrize("name", SWEPT)
+def test_flat_matches_object_on_skewed_links(name, testbed, model_name):
+    """Per-destination durations differ here: a transfer's feasible
+    window depends on its destination, not just on its source row."""
+    assert_matches_frozen(f"skewed-links/{name}-{testbed}-{model_name}")
+
+
+@pytest.mark.parametrize("platform_name", sorted(SPARSE))
+@pytest.mark.parametrize("testbed", sorted(TESTBEDS))
+@pytest.mark.parametrize("name", SWEPT)
+def test_routed_matches_object(name, testbed, platform_name):
+    assert_matches_frozen(f"routed/{name}-{testbed}-{platform_name}")
+
+
+def test_fixed_allocation_equivalence():
     for model_name in MODELS:
-        flat, ref = run_both(scheduler, graph, paper_platform, model_name)
-        assert_identical(flat, ref)
+        assert_matches_frozen(f"fixed/{model_name}")
 
 
 def test_heterogeneous_links_equivalence():
-    """Non-uniform link matrix: per-pair durations through both paths."""
-    platform = Platform(
-        [1.0, 2.0, 3.0],
-        [[0.0, 1.0, 2.5], [1.5, 0.0, 0.5], [2.0, 1.0, 0.0]],
-    )
-    graph = layered_testbed(4, seed=11)
+    """Non-uniform link matrix: per-pair durations."""
     for model_name in MODELS:
-        flat, ref = run_both(HEFT(), graph, platform, model_name)
-        assert_identical(flat, ref)
+        assert_matches_frozen(f"hetero-links/{model_name}")
 
 
-def test_zero_data_edges_equivalence(paper_platform):
-    """Zero-volume edges book zero-length transfers in both paths."""
-    graph = toy_graph()
-    for u, v in list(graph.edges())[:2]:
-        graph.set_data(u, v, 0.0)
-    flat, ref = run_both(HEFT(), graph, paper_platform, "one-port")
-    assert_identical(flat, ref)
-    assert any(e.duration == 0.0 for e in flat.comm_events)
+def test_zero_data_edges_equivalence():
+    """Zero-volume edges book zero-length transfers."""
+    assert_matches_frozen("zero-data/heft-one-port")
+    schedule = CASES["zero-data/heft-one-port"]()
+    assert any(e.duration == 0.0 for e in schedule.comm_events)
 
 
-# ----------------------------------------------------------------------
-# golden schedules: the flat path reproduces the hand-checked figures
-# ----------------------------------------------------------------------
 class TestGolden:
-    def test_toy_example_heft_one_port(self, two_identical):
+    def test_toy_example_heft_one_port(self):
         """Figure 4's toy graph under one-port HEFT (paper tie order)."""
-        schedule = HEFT().run(toy_graph(), two_identical, "one-port")
-        assert type(schedule).__name__ == "Schedule"
-        with force_object_state():
-            ref = HEFT().run(toy_graph(), two_identical, "one-port")
-        assert_identical(schedule, ref)
+        assert_matches_frozen("toy/heft-one-port")
 
-    def test_fork_join_ilha(self, paper_platform):
-        flat, ref = run_both(
-            ILHA(b=4), fork_join_graph(16), paper_platform, "one-port"
-        )
-        assert_identical(flat, ref)
+    def test_fork_join_ilha(self):
+        assert_matches_frozen("fork-join/ilha-one-port")
+
+
+def test_ilha_reschedule_equivalence():
+    """The mark/run/restore pre-allocation (ILHA's reschedule variant)."""
+    assert_matches_frozen("reschedule/ilha-one-port")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(5))
+def test_large_testbed_fuzz(seed):
+    for label in ("heft", "ilha"):
+        for model_name in ("one-port", "macro-dataflow"):
+            assert_matches_frozen(f"fuzz/{seed}-{label}-{model_name}")
 
 
 # ----------------------------------------------------------------------
 # no-trace property: rejected candidates leave flat state untouched
 # ----------------------------------------------------------------------
+#: One instance of every registered model; routed on a sparse ring so
+#: its bookings really relay.
+MODEL_CASES = [
+    pytest.param(OnePortModel, _paper, id="OnePortModel"),
+    pytest.param(MacroDataflowModel, _paper, id="MacroDataflowModel"),
+    pytest.param(UniPortModel, _paper, id="UniPortModel"),
+    pytest.param(NoOverlapOnePortModel, _paper, id="NoOverlapOnePortModel"),
+    pytest.param(RoutedOnePortModel, SPARSE["ring5"], id="RoutedOnePortModel"),
+]
+
+
 class TestNoTrace:
     def _fingerprint(self, state):
         return (
@@ -150,14 +292,11 @@ class TestNoTrace:
             dict(state.finish),
         )
 
-    @pytest.mark.parametrize("model_cls", [
-        OnePortModel, MacroDataflowModel, UniPortModel, NoOverlapOnePortModel,
-    ])
-    def test_rejected_candidates_leave_no_trace(self, paper_platform, model_cls):
+    @pytest.mark.parametrize("model_cls, platform_fn", MODEL_CASES)
+    def test_rejected_candidates_leave_no_trace(self, model_cls, platform_fn):
+        platform = platform_fn()
         graph = lu_graph(6)
-        state = SchedulerState(graph, paper_platform, model_cls(paper_platform))
-        # flat path in effect (whichever backend's flat state is active)
-        assert not isinstance(state, ObjectSchedulerState)
+        state = SchedulerState(graph, platform, model_cls(platform))
         order = list(graph.topological_order())
         for task in order[: len(order) // 2]:
             state.schedule_on(task, 0)
@@ -220,15 +359,13 @@ def test_relocated_parent_probe_does_not_poison_seed():
     assert (again.start, again.finish) == (genuine.start, genuine.finish)
 
 
-@pytest.mark.parametrize("model_cls", [
-    OnePortModel, MacroDataflowModel, UniPortModel, NoOverlapOnePortModel,
-])
-def test_snapshot_rebinds_booker_per_model(model_cls):
+@pytest.mark.parametrize("model_cls, platform_fn", MODEL_CASES)
+def test_snapshot_rebinds_booker_per_model(model_cls, platform_fn):
     """snapshot() gives every flat booker an independent builder binding;
     the copy and the original book identically from the shared base."""
     from repro.core import TaskGraph
 
-    platform = Platform.homogeneous(3)
+    platform = platform_fn()
     g = TaskGraph.from_specs(
         [("a", 1.0), ("b", 1.0), ("c", 1.0)],
         [("a", "c", 2.0), ("b", "c", 1.0)],
@@ -240,6 +377,7 @@ def test_snapshot_rebinds_booker_per_model(model_cls):
     c_snap = snap.schedule_on("c", 2)
     c_real = state.schedule_on("c", 2)
     assert (c_snap.start, c_snap.finish) == (c_real.start, c_real.finish)
+    assert snap.schedule.comm_events == state.schedule.comm_events
     assert snap.builder is not state.builder
 
 
@@ -248,17 +386,14 @@ def test_parent_procs_requires_scheduled_parents(paper_platform):
     from repro.core.exceptions import SchedulingError
 
     g = TaskGraph.from_specs([("a", 1.0), ("c", 1.0)], [("a", "c", 2.0)])
-    for state_cls in (SchedulerState, ObjectSchedulerState):
-        state = state_cls(g, paper_platform, OnePortModel(paper_platform))
-        with pytest.raises((SchedulingError, KeyError)):
-            state.parent_procs("c")
+    state = SchedulerState(g, paper_platform, OnePortModel(paper_platform))
+    with pytest.raises(SchedulingError):
+        state.parent_procs("c")
 
 
 def test_missing_link_raises_like_object_path():
-    """Partially linked platform + one-port: both paths raise
-    PlatformError from the unlinked probe — pruning must not skip it."""
-    import math
-
+    """Partially linked platform + one-port: the unlinked probe raises
+    PlatformError — pruning must not skip it."""
     from repro.core import TaskGraph
     from repro.core.exceptions import PlatformError
 
@@ -272,33 +407,3 @@ def test_missing_link_raises_like_object_path():
     state.schedule_on("p", 1)
     with pytest.raises(PlatformError):
         state.best_candidate("x")
-    ref = ObjectSchedulerState(g, platform, OnePortModel(platform))
-    ref.schedule_on("p", 1)
-    with pytest.raises(PlatformError):
-        ref.best_candidate("x")
-
-
-# ----------------------------------------------------------------------
-# scratch runs: mark/restore equals never-having-run
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("state_cls", [SchedulerState, ObjectSchedulerState])
-def test_ilha_reschedule_equivalence(paper_platform, state_cls):
-    """The mark/run/restore pre-allocation produces the same schedules
-    through both state implementations (ILHA's reschedule variant)."""
-    graph = lu_graph(8)
-    scheduler = ILHA(b=4, reschedule=True)
-    flat, ref = run_both(scheduler, graph, paper_platform, "one-port")
-    assert_identical(flat, ref)
-
-
-# ----------------------------------------------------------------------
-# 1000-task sweep (excluded from tier-1)
-# ----------------------------------------------------------------------
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", range(5))
-def test_large_testbed_fuzz(seed, paper_platform):
-    graph = irregular_testbed(1000, seed=seed)
-    for scheduler in (HEFT(), ILHA(b=8)):
-        for model_name in ("one-port", "macro-dataflow"):
-            flat, ref = run_both(scheduler, graph, paper_platform, model_name)
-            assert_identical(flat, ref)

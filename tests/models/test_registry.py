@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import ConfigurationError, Platform
 from repro.models import (
-    CommunicationModel,
     MacroDataflowModel,
     NoOverlapOnePortModel,
     OnePortModel,
@@ -60,10 +59,14 @@ class TestRegistry:
         assert set(KNOWN_MODELS) == set(available_models())
         assert heuristics_make_model is make_model
 
-    def test_flat_capability_flags(self):
-        assert OnePortModel.supports_flat
-        assert MacroDataflowModel.supports_flat
-        assert UniPortModel.supports_flat
-        assert NoOverlapOnePortModel.supports_flat
-        assert not RoutedOnePortModel.supports_flat
-        assert not CommunicationModel.supports_flat
+    def test_flat_capability_flags(self, platform):
+        """Every registered model books on the flat path."""
+        from repro.core import TaskGraph
+        from repro.kernel import FlatBuilder, compile_statics
+        from repro.models import FlatBooker
+
+        statics = compile_statics(TaskGraph.from_specs([("a", 1.0)], []), platform)
+        for name in available_models():
+            builder = FlatBuilder(platform.num_processors)
+            booker = make_model(platform, name).flat_booker(builder, statics)
+            assert isinstance(booker, FlatBooker), name

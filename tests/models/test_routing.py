@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import Platform, PlatformError, Schedule, TaskGraph, validate_schedule
+from repro.core import Platform, PlatformError, TaskGraph, validate_schedule
 from repro.heuristics import HEFT, FixedAllocation
+from repro.kernel import FlatBuilder, compile_statics
 from repro.models import RoutedOnePortModel, build_routing_table
 
 
@@ -52,13 +53,30 @@ class TestRoutingTable:
         assert build_routing_table(plat) == build_routing_table(plat)
 
 
+def routed_booker(plat: Platform, graph: TaskGraph):
+    """The routed flat booker over a fresh builder, plus its statics."""
+    statics = compile_statics(graph, plat)
+    builder = FlatBuilder(plat.num_processors)
+    return RoutedOnePortModel(plat).flat_booker(builder, statics), statics
+
+
+def two_messages() -> TaskGraph:
+    """``u -> x`` and ``v -> x``, 2 data items each."""
+    return TaskGraph.from_specs(
+        [("u", 1.0), ("v", 1.0), ("x", 1.0)],
+        [("u", "x", 2.0), ("v", "x", 2.0)],
+    )
+
+
+def parent_row(statics, src: str, proc: int, ready: float = 0.0):
+    return (ready, statics.tindex[src], statics.eindex[(src, "x")], proc)
+
+
 class TestRoutedTransfers:
     def test_two_hop_arrival_time(self):
-        plat = line_platform(3)
-        model = RoutedOnePortModel(plat)
-        trial = model.new_state().trial()
+        booker, st = routed_booker(line_platform(3), two_messages())
         # data 2, unit links: hop [0,2) on 0->1, hop [2,4) on 1->2
-        assert trial.edge_arrival("u", "v", 0, 2, 0.0, 2.0) == 4.0
+        assert booker.trial_est([parent_row(st, "u", 0)], 2) == 4.0
 
     def test_hop_events_recorded(self):
         plat = line_platform(3)
@@ -74,16 +92,21 @@ class TestRoutedTransfers:
 
     def test_relay_port_contention(self):
         """A relay's own receive port serializes two routed streams."""
-        plat = line_platform(3)
-        model = RoutedOnePortModel(plat)
-        state = model.new_state()
-        trial = state.trial()
+        booker, st = routed_booker(line_platform(3), two_messages())
         # two messages 0 -> 2 back to back: the second waits for the
         # first on both P0's send port and P1's ports
-        a1 = trial.edge_arrival("u", "x", 0, 2, 0.0, 2.0)
-        a2 = trial.edge_arrival("v", "y", 0, 2, 0.0, 2.0)
-        assert a1 == 4.0
-        assert a2 == 6.0  # pipelined: second leaves P0 at 2, relays [4,6)
+        rows = [parent_row(st, "u", 0), parent_row(st, "v", 0)]
+        booker.builder.begin_trial()
+        assert booker.trial_est(rows, 2) == 6.0
+        booker.builder.begin_trial()
+        out = []
+        assert booker.commit_est(rows, 2, out) == 6.0
+        hops = [(q, r, start, start + dur, hop) for _e, q, r, start, dur, hop in out]
+        assert hops == [
+            (0, 1, 0.0, 2.0, 0), (1, 2, 2.0, 4.0, 1),  # a1 == 4.0
+            # pipelined: second leaves P0 at 2, relays [4,6)
+            (0, 1, 2.0, 4.0, 0), (1, 2, 4.0, 6.0, 1),
+        ]
 
     def test_heft_runs_and_validates_on_ring(self):
         import repro.graphs as graphs
@@ -101,16 +124,11 @@ class TestRoutedTransfers:
         assert sched.is_complete()
 
     def test_state_copy_isolated(self):
-        plat = line_platform(3)
-        model = RoutedOnePortModel(plat)
-        state = model.new_state()
-        dup = state.copy()
-        t = state.trial()
-        t.edge_arrival("u", "v", 0, 2, 0.0, 2.0)
-        g = TaskGraph()
-        g.add_task("u", 1.0)
-        g.add_task("v", 1.0)
-        g.add_dependency("u", "v", 2.0)
-        t.commit(Schedule(g, plat, model="one-port"))
-        fresh = dup.trial()
-        assert fresh.edge_arrival("u", "v", 0, 2, 0.0, 2.0) == 4.0
+        booker, st = routed_booker(line_platform(3), two_messages())
+        dup = booker.rebind(booker.builder.copy())
+        rows = [parent_row(st, "u", 0)]
+        assert booker.commit_est(rows, 2, []) == 4.0
+        booker.builder.begin_trial()
+        assert booker.trial_est(rows, 2) == 6.0  # the original is booked
+        dup.builder.begin_trial()
+        assert dup.trial_est(rows, 2) == 4.0

@@ -5,8 +5,10 @@ import pytest
 from repro import HEFT, ILHA, Platform, validate_schedule
 from repro.core import TaskGraph, ValidationError
 from repro.graphs import lu_graph, toy_graph, uniform_fork
+from repro.kernel import FlatBuilder, compile_statics
 from repro.models import (
     NoOverlapOnePortModel,
+    OnePortModel,
     UniPortModel,
     validate_no_overlap,
     validate_uni_port,
@@ -18,24 +20,31 @@ def platform():
     return Platform.homogeneous(3, cycle_time=1.0, link=1.0)
 
 
+def relay_arrivals(model_cls, platform) -> tuple[float, float]:
+    """Commit ``u -> x`` (P0 -> P1, 2 items), then probe ``v -> y``
+    (P1 -> P2, 2 items) on the model's flat booker: the two arrivals."""
+    g = TaskGraph.from_specs(
+        [("u", 1.0), ("v", 1.0), ("x", 1.0), ("y", 1.0)],
+        [("u", "x", 2.0), ("v", "y", 2.0)],
+    )
+    st = compile_statics(g, platform)
+    builder = FlatBuilder(platform.num_processors)
+    booker = model_cls(platform).flat_booker(builder, st)
+    a1 = booker.commit_est([(0.0, st.tindex["u"], st.eindex[("u", "x")], 0)], 1, [])
+    builder.begin_trial()
+    a2 = booker.trial_est([(0.0, st.tindex["v"], st.eindex[("v", "y")], 1)], 2)
+    return a1, a2
+
+
 class TestUniPort:
     def test_send_blocks_receive(self, platform):
         """Uni-directional: a processor cannot send and receive at once."""
-        model = UniPortModel(platform)
-        trial = model.new_state().trial()
-        a1 = trial.edge_arrival("u", "x", 0, 1, 0.0, 2.0)  # P0 -> P1 in [0,2)
-        # P1 -> P2 must wait for P1's single port
-        a2 = trial.edge_arrival("v", "y", 1, 2, 0.0, 2.0)
-        assert a1 == 2.0
-        assert a2 == 4.0
+        # P0 -> P1 in [0,2); P1 -> P2 must wait for P1's single port
+        assert relay_arrivals(UniPortModel, platform) == (2.0, 4.0)
 
     def test_bidirectional_allows_it(self, platform):
-        from repro.models import OnePortModel
-
-        trial = OnePortModel(platform).new_state().trial()
-        a1 = trial.edge_arrival("u", "x", 0, 1, 0.0, 2.0)
-        a2 = trial.edge_arrival("v", "y", 1, 2, 0.0, 2.0)
-        assert a1 == a2 == 2.0  # recv on P1 and send on P1 overlap
+        # recv on P1 and send on P1 overlap
+        assert relay_arrivals(OnePortModel, platform) == (2.0, 2.0)
 
     def test_schedules_validate(self, platform, paper_platform):
         for graph in (toy_graph(), lu_graph(6), uniform_fork(5)):
@@ -102,11 +111,6 @@ class TestNoOverlap:
             validate_no_overlap(sched)
             assert sched.is_complete()
 
-    def test_requires_bind_compute(self, platform):
-        model = NoOverlapOnePortModel(platform)
-        with pytest.raises(ValidationError, match="bind_compute"):
-            model.new_state()
-
     def test_validator_catches_overlap(self, platform):
         from repro.core import Schedule
 
@@ -126,8 +130,6 @@ class TestNoOverlap:
 
     def test_strictness_ordering_on_lu(self, paper_platform):
         """More constraints, larger (or equal) makespans — measured."""
-        from repro.models import OnePortModel
-
         g = lu_graph(8)
         bi = HEFT().run(g, paper_platform, OnePortModel(paper_platform)).makespan()
         noov = HEFT().run(

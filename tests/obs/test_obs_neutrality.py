@@ -1,7 +1,7 @@
 """Decision neutrality: instrumentation must never change a schedule.
 
 The observability layer's hard constraint — every counter site is a
-pure observer.  For every registered heuristic x flat-capable model x
+pure observer.  For every registered heuristic x direct-link model x
 kernel backend, running under an active :func:`repro.obs.collect`
 scope must produce a schedule *bit-identical* (placements, starts,
 finishes, comm events, exact float equality) to the stats-off run.
@@ -29,7 +29,8 @@ SCHEDULER_KWARGS = {
     "ilha": {"b": 4},
 }
 
-#: Every model with a flat booker (the instrumented construction path).
+#: The models every backend runs on its own engine (routed has no C
+#: booker and runs the python engine under either backend).
 MODELS = ["one-port", "macro-dataflow", "uni-port", "no-overlap"]
 
 BACKENDS = ["python"] + (["cext"] if cext_available() else [])
@@ -62,7 +63,7 @@ def test_construction_identical_with_stats(name, model_name, backend, paper_plat
     # the run must also have *observed* something on the flat path
     # (rescheduling heuristics commit trial placements too, so commits
     # is a lower bound, not an equality)
-    assert on.state_impl != "object"
+    assert on.state_impl == f"flat-{backend}"
     assert stats.counters.get("builder.commits", 0) >= len(on.placements)
 
 
