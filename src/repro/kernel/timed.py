@@ -328,17 +328,22 @@ class TimedKernel:
                 dur[n + e] = edata[e] * cost
                 preds[n + e].append(esrc[e])
                 preds[edst[e]].append(n + e)
-        for proc in range(statics.num_procs):
+        procs = range(statics.num_procs)
+        for proc in procs:
             row = point.proc_list(proc)
             for a, b in zip(row, row[1:]):
                 preds[tindex[b]].append(tindex[a])
-            for order in (point.send_list(proc), point.recv_list(proc)):
-                prev = -1
-                for u, v, _hop in order:
-                    node = n + eindex[(u, v)]
-                    if prev >= 0:
-                        preds[node].append(prev)
-                    prev = node
+        # every transfer lists its send-port predecessor before its
+        # receive-port one (the order patching rebuilds), whatever the
+        # processor numbers: tight-predecessor ties then break the same
+        # way on a loaded and on a patched point
+        for order in [point.send_list(p) for p in procs] + [point.recv_list(p) for p in procs]:
+            prev = -1
+            for u, v, _hop in order:
+                node = n + eindex[(u, v)]
+                if prev >= 0:
+                    preds[node].append(prev)
+                prev = node
         self.num_active = sum(active)
         return self
 

@@ -9,7 +9,13 @@ import random
 import pytest
 
 from repro import HEFT, ILHA
-from repro.graphs import fork_join_graph, irregular_testbed, layered_testbed, lu_graph
+from repro.graphs import (
+    fork_join_graph,
+    irregular_testbed,
+    layered_testbed,
+    lu_graph,
+    stencil_graph,
+)
 from repro.search import IncrementalEvaluator, MoveTask, SearchPoint, propose
 from repro.simulate import replay
 
@@ -176,3 +182,21 @@ class TestCriticalPath:
         # the chain is monotone: each later entry finishes no later
         finishes = [evaluator._finish[("task", t)] for t in chain]
         assert finishes == sorted(finishes, reverse=True)
+
+    def test_chain_independent_of_search_history(self, paper_platform):
+        """A point reached by commits and the same point loaded fresh
+        give the same chain: tight-predecessor ties break in one
+        canonical order, not in the order the state was built."""
+        graph = stencil_graph(6)
+        evaluator = loaded_evaluator(graph, paper_platform)
+        rng = random.Random(5)
+        commits = 0
+        while commits < 200:
+            move = propose(evaluator.point, paper_platform, rng)
+            if move is None:
+                continue
+            evaluator.commit(evaluator.preview(move))
+            commits += 1
+            fresh = IncrementalEvaluator(graph, paper_platform)
+            fresh.load(evaluator.point)
+            assert evaluator.critical_path_tasks() == fresh.critical_path_tasks()

@@ -7,8 +7,17 @@ Acceptance criteria covered here:
 * it never returns a worse makespan than its base heuristic on any
   testbed in the suite;
 * it strictly improves the makespan on at least 3 of the seeded
-  layered/irregular random-DAG testbeds.
+  layered/irregular random-DAG testbeds;
+* its verdicts are frozen: ``ils_digests.json`` holds one SHA-256 per
+  seeded run (:func:`ils_digest`: final placements and
+  ``search_stats``), recorded on the heap-patching evaluator the
+  one-pass sweep replaced, and every kernel backend must reproduce it.
 """
+
+import functools
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +33,8 @@ from repro.graphs import (
     stencil_graph,
 )
 from repro.heuristics import IteratedLocalSearch, available_schedulers, get_scheduler
+from repro.kernel.backends import use_backend
+from repro.kernel.cext_backend import cext_available
 
 TOL = 1e-6
 
@@ -47,6 +58,50 @@ SUITE = {
     "layered": layered_testbed(6, seed=4),
     "irregular": irregular_testbed(50, seed=5),
 }
+
+needs_cext = pytest.mark.skipif(not cext_available(), reason="cext extension not built")
+BACKENDS = [pytest.param("python"), pytest.param("cext", marks=needs_cext)]
+
+#: The frozen runs: every ``SUITE`` graph and ``SEEDED_CASES`` entry
+#: under ``ils(heft)`` with these seeds and this budget.
+DIGEST_SEEDS = (0, 7)
+DIGEST_BUDGET = 600
+DIGEST_CASES = {
+    f"{label}/seed={seed}": (graph, seed)
+    for label, graph in [(f"suite/{name}", g) for name, g in SUITE.items()]
+    + [(f"seeded/{i}-{family}", g) for i, (family, g) in enumerate(SEEDED_CASES)]
+    for seed in DIGEST_SEEDS
+}
+
+
+def _hex(value) -> str:
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def ils_digest(schedule) -> str:
+    """SHA-256 over the final placements and the ``search_stats``.
+
+    Floats enter as ``float.hex`` (exact), tasks as ``repr``; placements
+    are sorted, so the digest ignores recording order.
+    """
+    lines = sorted(
+        f"P {task!r} {p.proc} {_hex(float(p.start))} {_hex(float(p.finish))}"
+        for task, p in schedule.placements.items()
+    )
+    lines += [f"S {key} {_hex(value)}" for key, value in sorted(schedule.search_stats.items())]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def run_digest_case(case_id: str, platform):
+    graph, seed = DIGEST_CASES[case_id]
+    return IteratedLocalSearch(base="heft", budget=DIGEST_BUDGET, seed=seed).run(
+        graph, platform, "one-port"
+    )
+
+
+@functools.cache
+def _frozen() -> dict:
+    return json.loads(Path(__file__).with_name("ils_digests.json").read_text())
 
 
 class TestRegistry:
@@ -123,6 +178,20 @@ class TestDeterminism:
             ]
 
         assert metrics(serial) == metrics(pooled) == metrics(warm)
+
+
+class TestFrozenVerdicts:
+    def test_every_case_is_frozen(self):
+        assert sorted(_frozen()) == sorted(DIGEST_CASES)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case_id", sorted(DIGEST_CASES))
+    def test_matches_frozen_digest(self, case_id, backend, paper_platform):
+        with use_backend(backend):
+            out = run_digest_case(case_id, paper_platform)
+        want = _frozen()[case_id]
+        assert out.makespan() == want["makespan"], f"{case_id}: makespan drift"
+        assert ils_digest(out) == want["sha256"], f"{case_id}: verdict drift"
 
 
 class TestNeverWorse:
