@@ -30,19 +30,21 @@ Layout
   top of it.
 * **Timed constraint DAG** (:class:`TimedKernel`): node ``i < n`` is
   task ``i``; node ``n + e`` is the transfer slot of edge ``e``, active
-  only while the edge is remote.  ``compile`` (from replay decisions or
-  a search point) builds predecessor lists over these indices — the
-  precedence, processor-order, and per-port event-list edges of the
-  one-port model; ``propagate`` runs one forward pass over
-  topologically ordered int arrays (the one-shot pass of replay and the
-  online engine runs compiled under the ``cext`` backend); ``patch``
-  re-propagates only downstream of an invalidated node set into
-  generation-stamped overlays and ``apply`` folds the overlay back in.
+  only while the edge is remote.  Two forms share these indices.  The
+  *one-shot* form (``from_decisions``: replay decisions) stores
+  durations, in-degrees and one next pointer per resource order, and
+  ``propagate_kahn`` runs one Kahn-order forward pass — the pass of
+  replay and the online engine.  The *point* form (``from_point``: a
+  search point) stores only the allocation and the global sequence as
+  int lists; the point's processor and port orders are that sequence
+  restricted to each resource, so ``propagate_order`` times it in one
+  sweep over the sequence, ``patch`` sweeps an edited copy for its
+  makespan alone, and ``apply`` folds an edit in.
 * **Backends** (:mod:`repro.kernel.backends`): two tiers with
   bit-identical results — ``python``, the reference above, and
   ``cext``, the compiled engine of :mod:`repro.kernel.cext_backend`
-  (construction and the one-shot pass), which falls back to ``python``
-  when the extension is not built.
+  (construction, the one-shot pass and the point sweep), which falls
+  back to ``python`` when the extension is not built.
 
 Who routes through the kernel
 -----------------------------
@@ -50,7 +52,8 @@ Who routes through the kernel
   set (the one-port hot path) compiles and propagates here; only
   multi-hop routed schedules take the retained object-level path.
 * :class:`repro.search.IncrementalEvaluator` — load is ``from_point`` +
-  one ordered pass; previews and commits are ``patch`` / ``apply``.
+  ``propagate_order``; a preview is one ``patch`` sweep of the edited
+  point and a commit one ``apply``, compiled under ``cext``.
 * :class:`repro.heuristics.base.SchedulerState` — the HEFT/ILHA
   EFT engine runs entirely on :class:`FlatBuilder` rows for every
   registered communication model: candidate trials, port bookings
@@ -74,12 +77,11 @@ from .backends import (
 )
 from .builder import FlatBuilder
 from .statics import KernelStatics, compile_statics
-from .timed import KernelIneligible, KernelPatch, TimedKernel
+from .timed import KernelIneligible, TimedKernel
 
 __all__ = [
     "FlatBuilder",
     "KernelIneligible",
-    "KernelPatch",
     "KernelStatics",
     "TimedKernel",
     "available_backends",

@@ -8,9 +8,10 @@
  * maxpf/frontier/in-trial pruning — transliterated from
  * kernel/builder.py, models/one_port.py, models/base.py,
  * models/macro_dataflow.py and heuristics/base.py; plus the timed
- * kernel's one-shot forward pass (TimedKernel.propagate_kahn in
- * kernel/timed.py) behind replay, plan install and online
- * re-prediction.
+ * kernel's two passes from kernel/timed.py: the one-shot forward pass
+ * (TimedKernel.propagate_kahn, behind replay, plan install and online
+ * re-prediction) and the point sweep (TimedKernel._point_loop, behind
+ * the search evaluator's loads, previews and commits).
  *
  * Bit-identity contract: every float computation below performs the
  * SAME IEEE-754 double operations in the SAME order as the Python
@@ -298,6 +299,251 @@ Statics_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     return (PyObject *)self;
 }
 
+/* out arrays: None, or a list of exactly size entries */
+static int
+check_out(PyObject *o, Py_ssize_t size, const char *name)
+{
+    if (o == Py_None)
+        return 0;
+    if (!PyList_Check(o)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a list, not %.100s", name,
+                     Py_TYPE(o)->tp_name);
+        return -1;
+    }
+    if (PyList_GET_SIZE(o) != size) {
+        PyErr_Format(PyExc_ValueError, "%s has %zd entries, expected %zd",
+                     name, PyList_GET_SIZE(o), size);
+        return -1;
+    }
+    return 0;
+}
+
+/* PyList_SetItem steals f and re-checks the bounds: a replaced item's
+ * finalizer may have shrunk the list. */
+static inline int
+set_float(PyObject *list, Py_ssize_t i, double v)
+{
+    PyObject *f = PyFloat_FromDouble(v);
+    if (f == NULL)
+        return -1;
+    return PyList_SetItem(list, i, f);
+}
+
+static inline int
+set_index(PyObject *list, Py_ssize_t i, Py_ssize_t v)
+{
+    PyObject *o = PyLong_FromSsize_t(v);
+    if (o == NULL)
+        return -1;
+    return PyList_SetItem(list, i, o);
+}
+
+/* point_pass(alloc, seq, start, finish, tight) -> (makespan, timed):
+ * TimedKernel._point_loop over a search point's interned allocation
+ * and global sequence.
+ *
+ * For each task v in seq, on q = alloc[v]: first v's remote in-edges
+ * in increasing source position, each at the max of 0.0, its source's
+ * finish and the last transfers timed on the source's send port and
+ * on q's receive port; then v, at the max of 0.0, each in-edge's
+ * predecessor (the source if local, the transfer if remote) and the
+ * last task timed on q.  Same operands, same > max from 0.0 and same
+ * single addition as the Python reference; tight is each node's first
+ * maximal predecessor in the same canonical order.  Validation follows
+ * the reference's order (out lists, alloc, seq, links) and finishes
+ * before anything is written: the sweep runs on C scratch, and the
+ * live nodes are copied to the out lists at the end. */
+static PyObject *
+Statics_point_pass(StaticsObject *self, PyObject *args)
+{
+    PyObject *alloc_o, *seq_o, *start, *finish, *tight;
+    if (!PyArg_ParseTuple(args, "OOOOO:point_pass", &alloc_o, &seq_o, &start,
+                          &finish, &tight))
+        return NULL;
+    const Py_ssize_t n = self->n, m = self->m, p = self->p, size = n + m;
+    if (check_out(start, size, "start") < 0 ||
+        check_out(finish, size, "finish") < 0 ||
+        check_out(tight, size, "tight") < 0)
+        return NULL;
+    /* int scratch: alloc, seq, pos (n each); the last task / send /
+     * receive per processor (p each); one task's remote in-edges and
+     * the timed transfer slots (m each); tight (size).  double
+     * scratch: start and finish (size each). */
+    Py_ssize_t *ib = PyMem_Malloc((size_t)(3 * n + 3 * p + 2 * m + size + 1) *
+                                  sizeof(Py_ssize_t));
+    double *db = PyMem_Malloc((size_t)(2 * size + 1) * sizeof(double));
+    PyObject *res = NULL;
+    if (ib == NULL || db == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t *alloc = ib, *seq = alloc + n, *pos = seq + n;
+    Py_ssize_t *proc_last = pos + n, *send_last = proc_last + p;
+    Py_ssize_t *recv_last = send_last + p, *buf = recv_last + p;
+    Py_ssize_t *slots = buf + m, *tt = slots + m;
+    double *ss = db, *ff = db + size;
+    const Py_ssize_t *pred_ptr = self->pred_ptr, *pred_eix = self->pred_eix;
+    const Py_ssize_t *esrc = self->esrc;
+    const double *links = self->links;
+
+    if (fill_ssizes(alloc_o, alloc, n, "alloc") < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (alloc[i] < 0 || alloc[i] >= p) {
+            PyErr_Format(PLATFORM_ERR, "processor index %zd out of range [0, %zd)",
+                         alloc[i], p);
+            goto done;
+        }
+    }
+    if (fill_ssizes(seq_o, seq, n, "seq") < 0)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++)
+        pos[i] = -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_ssize_t v = seq[i];
+        if (v < 0 || v >= n || pos[v] >= 0) {
+            PyErr_SetString(SCHED_ERR, "sequence is not a permutation of the tasks");
+            goto done;
+        }
+        pos[v] = i;
+    }
+    for (Py_ssize_t v = 0; v < n; v++) {
+        for (Py_ssize_t k = pred_ptr[v]; k < pred_ptr[v + 1]; k++) {
+            if (pos[esrc[pred_eix[k]]] >= pos[v]) {
+                PyErr_SetString(SCHED_ERR, "sequence is not a topological order");
+                goto done;
+            }
+        }
+    }
+    if (!self->all_links_finite) {
+        for (Py_ssize_t v = 0; v < n; v++) {
+            Py_ssize_t b = alloc[v];
+            for (Py_ssize_t k = pred_ptr[v]; k < pred_ptr[v + 1]; k++) {
+                Py_ssize_t a = alloc[esrc[pred_eix[k]]];
+                if (a != b && !isfinite(links[a * p + b])) {
+                    PyErr_Format(PLATFORM_ERR, "no direct link from P%zd to P%zd", a, b);
+                    goto done;
+                }
+            }
+        }
+    }
+
+    for (Py_ssize_t r = 0; r < p; r++)
+        proc_last[r] = send_last[r] = recv_last[r] = -1;
+    Py_ssize_t timed = n, nslots = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        const Py_ssize_t v = seq[i], q = alloc[v];
+        const Py_ssize_t k0 = pred_ptr[v], k1 = pred_ptr[v + 1];
+        /* remote in-edges, insertion-sorted by source position */
+        Py_ssize_t nr = 0;
+        for (Py_ssize_t k = k0; k < k1; k++) {
+            Py_ssize_t e = pred_eix[k];
+            if (alloc[esrc[e]] == q)
+                continue;
+            Py_ssize_t ps = pos[esrc[e]], j = nr++;
+            while (j > 0 && pos[esrc[buf[j - 1]]] > ps) {
+                buf[j] = buf[j - 1];
+                j--;
+            }
+            buf[j] = e;
+        }
+        for (Py_ssize_t j = 0; j < nr; j++) {
+            const Py_ssize_t e = buf[j], u = esrc[e], a = alloc[u], node = n + e;
+            Py_ssize_t t = u;
+            double tf = ff[u], s = 0.0;
+            if (tf > s)
+                s = tf;
+            Py_ssize_t last = send_last[a];
+            if (last >= 0) {
+                double f = ff[last];
+                if (f > s)
+                    s = f;
+                if (f > tf) {
+                    t = last;
+                    tf = f;
+                }
+            }
+            last = recv_last[q];
+            if (last >= 0) {
+                double f = ff[last];
+                if (f > s)
+                    s = f;
+                if (f > tf) {
+                    t = last;
+                    tf = f;
+                }
+            }
+            double d = self->edata[e] * links[a * p + q];
+            ss[node] = s;
+            ff[node] = s + d;
+            tt[node] = t;
+            send_last[a] = recv_last[q] = node;
+            slots[nslots++] = node;
+        }
+        timed += nr;
+        Py_ssize_t t = -1;
+        double tf = 0.0, s = 0.0;
+        for (Py_ssize_t k = k0; k < k1; k++) {
+            Py_ssize_t e = pred_eix[k], u = esrc[e];
+            Py_ssize_t pn = alloc[u] == q ? u : n + e;
+            double f = ff[pn];
+            if (f > s)
+                s = f;
+            if (t < 0 || f > tf) {
+                t = pn;
+                tf = f;
+            }
+        }
+        Py_ssize_t last = proc_last[q];
+        if (last >= 0) {
+            double f = ff[last];
+            if (f > s)
+                s = f;
+            if (t < 0 || f > tf)
+                t = last;
+        }
+        ss[v] = s;
+        ff[v] = s + self->exec_[v * p + q];
+        tt[v] = t;
+        proc_last[q] = v;
+    }
+    /* max(finish[:n], default=0.0): first element, then strictly greater */
+    double ms = 0.0;
+    if (n) {
+        ms = ff[0];
+        for (Py_ssize_t i = 1; i < n; i++)
+            if (ff[i] > ms)
+                ms = ff[i];
+    }
+
+    if (start == Py_None)
+        start = NULL;
+    if (finish == Py_None)
+        finish = NULL;
+    if (tight == Py_None)
+        tight = NULL;
+    if (start || finish || tight) {
+        for (Py_ssize_t j = -n; j < nslots; j++) {
+            Py_ssize_t node = j < 0 ? j + n : slots[j];
+            if ((start && set_float(start, node, ss[node]) < 0) ||
+                (finish && set_float(finish, node, ff[node]) < 0) ||
+                (tight && set_index(tight, node, tt[node]) < 0))
+                goto done;
+        }
+    }
+    res = Py_BuildValue("(dn)", ms, timed);
+
+done:
+    PyMem_Free(ib);
+    PyMem_Free(db);
+    return res;
+}
+
+static PyMethodDef Statics_methods[] = {
+    {"point_pass", (PyCFunction)Statics_point_pass, METH_VARARGS, NULL},
+    {NULL}
+};
+
 static PyMemberDef Statics_members[] = {
     {"num_tasks", T_PYSSIZET, offsetof(StaticsObject, n), READONLY, NULL},
     {"num_edges", T_PYSSIZET, offsetof(StaticsObject, m), READONLY, NULL},
@@ -313,6 +559,7 @@ static PyTypeObject Statics_Type = {
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "Immutable flat statics marshaled from KernelStatics.",
     .tp_members = Statics_members,
+    .tp_methods = Statics_methods,
     .tp_new = Statics_new,
 };
 
@@ -2145,35 +2392,6 @@ fail:
     PyMem_Free(tmp);
     PyBuffer_Release(&active);
     return NULL;
-}
-
-static int
-check_out(PyObject *o, Py_ssize_t size, const char *name)
-{
-    if (o == Py_None)
-        return 0;
-    if (!PyList_Check(o)) {
-        PyErr_Format(PyExc_TypeError, "%s must be a list, not %.100s", name,
-                     Py_TYPE(o)->tp_name);
-        return -1;
-    }
-    if (PyList_GET_SIZE(o) != size) {
-        PyErr_Format(PyExc_ValueError, "%s has %zd entries, expected %zd",
-                     name, PyList_GET_SIZE(o), size);
-        return -1;
-    }
-    return 0;
-}
-
-/* PyList_SetItem steals f and re-checks the bounds: a replaced item's
- * finalizer may have shrunk the list. */
-static inline int
-set_float(PyObject *list, Py_ssize_t i, double v)
-{
-    PyObject *f = PyFloat_FromDouble(v);
-    if (f == NULL)
-        return -1;
-    return PyList_SetItem(list, i, f);
 }
 
 /* run(dur, start, finish) -> makespan.  start / finish are lists of

@@ -3,9 +3,9 @@
 The flat kernel's hot primitives have two interchangeable
 implementations: the pure-Python reference (``python``:
 :mod:`repro.kernel.builder`, ``SchedulerState``'s scalar sweeps,
-``TimedKernel``'s Kahn loop) and the compiled ``cext`` backend
-(:mod:`repro.kernel.cext_backend`: construction and the timed kernel's
-one-shot propagation).  Both produce **bit-identical** schedules and
+``TimedKernel``'s Kahn loop and point sweep) and the compiled ``cext``
+backend (:mod:`repro.kernel.cext_backend`: construction and both timed
+kernel passes).  Both produce **bit-identical** schedules and
 times; they differ only in constant factors.
 
 Selection follows the models-registry pattern
@@ -42,12 +42,15 @@ class KernelBackend:
     """One implementation of the kernel's hot primitives.
 
     ``state_class(model)`` returns the ``SchedulerState`` subclass that
-    runs ``model``, and ``one_shot_pass(tk)`` the compiled form of a
+    runs ``model``; ``one_shot_pass(tk)`` the compiled form of a
     :class:`~repro.kernel.timed.TimedKernel`'s one-shot forward pass,
-    which ``TimedKernel.propagate_kahn`` builds once per kernel;
-    ``None`` from either means the pure-Python reference.  Classes are
-    resolved lazily so registering a backend never imports the
-    heuristics layer at module-load time.
+    which ``TimedKernel.propagate_kahn`` builds once per kernel; and
+    ``point_pass(statics)`` a callable with the signature and results
+    of ``TimedKernel._point_loop`` over those statics, which a
+    point-form kernel resolves at its first sweep.  ``None`` from any
+    of them means the pure-Python reference.  Classes are resolved
+    lazily so registering a backend never imports the heuristics layer
+    at module-load time.
     """
 
     name = ""
@@ -56,6 +59,9 @@ class KernelBackend:
         return None
 
     def one_shot_pass(self, tk):
+        return None
+
+    def point_pass(self, statics):
         return None
 
 

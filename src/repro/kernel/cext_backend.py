@@ -6,9 +6,11 @@ reference it must match and the fallback when it is not built.
 :mod:`repro.kernel._cext` is a hand-written CPython extension holding
 the hot sequential booking loop — the FlatBuilder primitives, the flat
 bookers of the four flat models, and the all-processor candidate sweep
-— as one C engine over typed arrays, plus the timed kernel's one-shot
-forward pass (``OneShot``: the packed constraint DAG of one
-``TimedKernel``, behind replay, plan install and online re-prediction).
+— as one C engine over typed arrays, plus both timed-kernel passes:
+the one-shot forward pass (``OneShot``: the packed constraint DAG of
+one ``TimedKernel``, behind replay, plan install and online
+re-prediction) and the point sweep (``Statics.point_pass``, behind
+every load, preview and commit of the search evaluator).
 See ``_cextmodule.c``; its header states the bit-identity contract with
 the pure-Python reference.
 
@@ -17,8 +19,8 @@ compiled opportunistically (``python setup.py build_ext --inplace``, or
 transparently by ``pip install`` when a compiler is present) and the
 package must work identically without it.  Importing this module never
 fails — a missing or broken extension leaves :func:`cext_available`
-False, the registered backend falls back to the pure-Python state class
-and Kahn loop with a single ``repro.kernel`` log warning, and the
+False, the registered backend falls back to the pure-Python state class,
+Kahn loop and point sweep with a single ``repro.kernel`` log warning, and the
 engine that actually ran is recorded in ``Schedule.state_impl`` (and
 surfaced by ``python -m repro info --json`` under ``"backends"``).
 """
@@ -104,8 +106,8 @@ def engine_statics(kernel):
 
 @register_backend("cext")
 class CextBackend(KernelBackend):
-    """Compiled booking loop and one-shot propagation; schedules and
-    times bit-identical to the python reference."""
+    """Compiled booking loop, one-shot propagation and point sweep;
+    schedules and times bit-identical to the python reference."""
 
     def state_class(self, model):
         """The compiled state for models with a C booker, else ``None``
@@ -144,3 +146,14 @@ class CextBackend(KernelBackend):
             tk.indeg,
             st.base_entries,
         )
+
+    def point_pass(self, statics):
+        """``statics``' compiled point sweep: ``Statics.point_pass``.
+
+        Same arguments, validation and results as
+        :meth:`~repro.kernel.timed.TimedKernel._point_loop`.
+        """
+        if _cext is None:
+            _warn_fallback()
+            return None
+        return engine_statics(statics).point_pass

@@ -1,4 +1,4 @@
-"""Flat timed constraint DAG: the kernel's compile → propagate → patch core.
+"""Flat timed constraint DAG: the kernel's compile → propagate core.
 
 A :class:`TimedKernel` is the integer-indexed form of the constraint DAG
 that :mod:`repro.simulate.replay` describes in prose: node ``i < n`` is
@@ -8,34 +8,39 @@ while the edge is remote under the current allocation — so moves that
 localize or remote an edge never allocate or free nodes, they flip a
 flag.
 
-The three phases:
+It has two forms, one per builder:
 
-* **compile** — :meth:`from_decisions` (replay: arbitrary
-  :class:`~repro.simulate.replay.ReplayDecisions` with direct transfers)
-  or :meth:`from_point` (search: the canonical orders of a
-  :class:`~repro.search.point.SearchPoint`) build the flat adjacency
-  and duration arrays.  The two builders store complementary forms of
-  the same DAG: ``from_decisions`` builds *successor* lists plus
-  in-degrees (all a one-shot forward pass needs), while ``from_point``
-  builds *predecessor* lists (what incremental patching needs);
-* **propagate** — :meth:`propagate_kahn` / :meth:`propagate_order` run
-  one forward pass over the int arrays, computing the component-wise
-  least start/finish times (identical floats to the object-level
-  replay: same ``max`` over the same operands, same single addition).
-  :meth:`propagate_kahn` runs compiled when the active kernel backend
-  provides a one-shot pass (``cext``: a packed successor CSR built once
-  per kernel), and the pure-Python loop otherwise — the reference and
-  the fallback;
-* **patch** — :meth:`patch` re-propagates only downstream of an
-  invalidated node set into generation-stamped overlay arrays (no
-  mutation), and :meth:`apply` folds one such overlay back into the
-  base state in time proportional to the disturbance.
+* **one-shot form** — :meth:`from_decisions` compiles arbitrary
+  :class:`~repro.simulate.replay.ReplayDecisions` (direct transfers)
+  into durations, in-degrees and one "next" pointer per resource order;
+  :meth:`propagate_kahn` runs one forward pass in Kahn order.  It runs
+  compiled when the active kernel backend provides a one-shot pass
+  (``cext``: a packed successor CSR built once per kernel), and as the
+  pure-Python :meth:`_kahn_loop` otherwise — the reference and the
+  fallback.  Replay, plan install and the online engine use it.
+* **point form** — :meth:`from_point` interns a
+  :class:`~repro.search.point.SearchPoint` as two int lists, the
+  allocation and the global sequence.  No adjacency is stored: a
+  point's processor order is its sequence restricted to the processor,
+  and its send / receive orders sort transfers by ``(pos(dst),
+  pos(src))`` — the global key order restricted to the port.  One
+  forward sweep over the sequence therefore times every node after
+  all of its predecessors, and "the previous activity on this
+  resource" is whatever the sweep timed last on it.
+  :meth:`propagate_order` sweeps the point itself; :meth:`patch`
+  sweeps an edited copy (reallocations plus an optional new sequence)
+  and returns its makespan without touching the base state, and
+  :meth:`apply` folds such an edit in.  The sweep runs compiled when
+  the backend provides one (``cext``: ``Statics.point_pass``) and as
+  :meth:`_point_loop` otherwise.
+
+Both forms compute identical floats to the object-level replay: the
+same ``max`` from ``0.0`` over the same operands and the same single
+addition per node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from math import isfinite
 
 import numpy as np
@@ -63,27 +68,21 @@ def _check_procs(alloc: list[int], num_procs: int) -> None:
         raise PlatformError(f"processor index {bad} out of range [0, {num_procs})")
 
 
-@dataclass(slots=True)
-class KernelPatch:
-    """One patch's overlay results, ready for :meth:`TimedKernel.apply`.
+def _check_links(statics: KernelStatics, alloc: list[int]) -> None:
+    """Raise :class:`PlatformError` on a remote edge over a missing link.
 
-    All node references are kernel node indices (``i < n`` tasks,
-    ``n + e`` transfer slots).
+    Edges are visited by destination task, then edge index — the order
+    the compiled pass checks them in, so both report the same edge.
     """
-
-    #: Nodes re-timed by the patch, in visit (key) order.
-    nodes: list[int]
-    #: Overlay start/finish per entry of :attr:`nodes`.
-    start: list[float]
-    finish: list[float]
-    #: Replacement predecessor lists (exactly the dirty nodes).
-    new_preds: dict[int, list[int]]
-    #: Replacement durations for nodes whose cost changed.
-    new_dur: dict[int, float]
-    #: Transfer slots deactivated by the patch (their edge became local).
-    removed: set[int]
-    #: Makespan of the patched state.
-    makespan: float
+    if statics.all_links_finite:
+        return
+    esrc, link_rows = statics.esrc, statics.link_rows
+    for v, row in enumerate(statics.pred_rows):
+        b = alloc[v]
+        for e in row:
+            a = alloc[esrc[e]]
+            if a != b and not isfinite(link_rows[a][b]):
+                raise PlatformError(f"no direct link from P{a} to P{b}")
 
 
 class TimedKernel:
@@ -97,23 +96,21 @@ class TimedKernel:
         "hop_list",
         "hop_procs",
         "dur",
-        "preds",
-        "succs",
         "indeg",
         "next_proc",
         "next_send",
         "next_recv",
+        "seq",
+        "tight",
+        "timed_nodes",
         "start",
         "finish",
         "makespan",
-        "_ov_start",
-        "_ov_finish",
-        "_ov_stamp",
-        "_gen",
         "_one_shot",
+        "_point_pass",
     )
 
-    def __init__(self, statics: KernelStatics, with_preds: bool = False) -> None:
+    def __init__(self, statics: KernelStatics) -> None:
         n, m = statics.num_tasks, statics.num_edges
         self.statics = statics
         self.alloc: list[int] = [0] * n
@@ -127,33 +124,34 @@ class TimedKernel:
         #: transfer activity seizes the send port of ``from_proc`` and
         #: the receive port of ``to_proc`` simultaneously).
         self.hop_procs: list[tuple[int, int]] = []
-        self.dur: list[float] = [0.0] * (n + m)
-        #: Predecessor lists (``from_point`` builds these; the one-shot
-        #: ``from_decisions`` path builds :attr:`succs`/:attr:`indeg`).
-        self.preds: list[list[int]] | None = (
-            [[] for _ in range(n + m)] if with_preds else None
-        )
-        #: Dense successor lists (evaluator form; see :meth:`build_succs`).
-        self.succs: list[list[int]] | None = None
+        #: One-shot form (``from_decisions``): the duration per node, the
+        #: constraint in-degrees, and the next task on the same processor
+        #: per task / next transfer slot on the same send / receive port
+        #: per edge (-1 = none); graph successors come from the statics
+        #: CSR, so no per-replay adjacency is ever built.
+        self.dur: list[float] | None = None
         self.indeg: list[int] | None = None
-        #: One-shot form (``from_decisions``): next task on the same
-        #: processor per task, next transfer slot on the same send /
-        #: receive port per edge (-1 = none); graph successors come from
-        #: the statics CSR, so no per-replay adjacency is ever built.
         self.next_proc: list[int] | None = None
         self.next_send: list[int] | None = None
         self.next_recv: list[int] | None = None
+        #: Point form (``from_point``): the global sequence as task
+        #: indices, and per live node its tight predecessor (the first
+        #: predecessor, in canonical order, whose finish its start
+        #: equals; -1 = none).
+        self.seq: list[int] | None = None
+        self.tight: list[int] | None = None
+        #: Nodes the last point sweep timed: every task plus every
+        #: transfer of an edge remote at the swept point.
+        self.timed_nodes = 0
         self.start: list[float] = [0.0] * (n + m)
         self.finish: list[float] = [0.0] * (n + m)
         self.makespan = 0.0
-        self._ov_start: list[float] | None = None
-        self._ov_finish: list[float] | None = None
-        self._ov_stamp: list[int] | None = None
-        self._gen = 0
-        #: The backend's compiled one-shot pass, resolved at the first
-        #: :meth:`propagate_kahn` (``False``: the Python loop).  Safe to
-        #: cache: only ``from_decisions`` writes the one-shot arrays, once.
+        #: The backend's compiled passes, resolved at first use
+        #: (``False``: the Python loop).  Safe to cache: the one-shot
+        #: arrays are written once, and the point sweep reads only the
+        #: statics plus its arguments.
         self._one_shot = None
+        self._point_pass = None
 
     # ------------------------------------------------------------------
     # compile
@@ -183,7 +181,7 @@ class TimedKernel:
             raise  # pragma: no cover - unreachable
         _check_procs(alloc, statics.num_procs)
         self.alloc = alloc
-        dur = self.dur
+        dur = self.dur = [0.0] * (n + m)
         dur[:n] = [row[p] for row, p in zip(statics.exec_, alloc)]
 
         active = self.active
@@ -296,65 +294,28 @@ class TimedKernel:
 
     @classmethod
     def from_point(cls, statics: KernelStatics, point) -> "TimedKernel":
-        """Compile the canonical decision set of a ``SearchPoint``.
+        """Intern a ``SearchPoint`` as the point form (see module docstring).
 
-        Builds the predecessor form, which incremental patching needs;
-        call :meth:`build_succs` before :meth:`patch`.
+        Raises :class:`PlatformError` on an out-of-range processor or a
+        remote edge over a missing link.  Call :meth:`propagate_order`
+        to time it.
         """
-        self = cls(statics, with_preds=True)
+        self = cls(statics)
         n = statics.num_tasks
-        tindex, eindex = statics.tindex, statics.eindex
-        exec_, link_rows = statics.exec_, statics.link_rows
-        edata, esrc, edst = statics.edata, statics.esrc, statics.edst
-        alloc, dur, preds = self.alloc, self.dur, self.preds
-        active = self.active
-        finite_links = statics.all_links_finite
-
         point_alloc = point.alloc
-        for i, v in enumerate(statics.tasks):
-            alloc[i] = point_alloc[v]
+        alloc = [point_alloc[v] for v in statics.tasks]
         _check_procs(alloc, statics.num_procs)
-        for i, p in enumerate(alloc):
-            dur[i] = exec_[i][p]
-        for e in range(statics.num_edges):
-            a, b = alloc[esrc[e]], alloc[edst[e]]
-            if a == b:
-                preds[edst[e]].append(esrc[e])
-            else:
+        _check_links(statics, alloc)
+        intern = statics.intern
+        self.alloc = alloc
+        self.seq = [intern(v) for v in point.sequence]
+        self.tight = [-1] * (n + statics.num_edges)
+        active = self.active
+        for e, (a, b) in enumerate(zip(statics.esrc, statics.edst)):
+            if alloc[a] != alloc[b]:
                 active[e] = 1
-                cost = link_rows[a][b]
-                if not finite_links and not isfinite(cost):
-                    raise PlatformError(f"no direct link from P{a} to P{b}")
-                dur[n + e] = edata[e] * cost
-                preds[n + e].append(esrc[e])
-                preds[edst[e]].append(n + e)
-        procs = range(statics.num_procs)
-        for proc in procs:
-            row = point.proc_list(proc)
-            for a, b in zip(row, row[1:]):
-                preds[tindex[b]].append(tindex[a])
-        # every transfer lists its send-port predecessor before its
-        # receive-port one (the order patching rebuilds), whatever the
-        # processor numbers: tight-predecessor ties then break the same
-        # way on a loaded and on a patched point
-        for order in [point.send_list(p) for p in procs] + [point.recv_list(p) for p in procs]:
-            prev = -1
-            for u, v, _hop in order:
-                node = n + eindex[(u, v)]
-                if prev >= 0:
-                    preds[node].append(prev)
-                prev = node
         self.num_active = sum(active)
         return self
-
-    def build_succs(self) -> list[list[int]]:
-        """Successor lists mirroring :attr:`preds` (built on demand)."""
-        succs: list[list[int]] = [[] for _ in range(len(self.preds))]
-        for node, plist in enumerate(self.preds):
-            for p in plist:
-                succs[p].append(node)
-        self.succs = succs
-        return succs
 
     # ------------------------------------------------------------------
     # propagate
@@ -523,123 +484,176 @@ class TimedKernel:
             )
         return max(finish[:n], default=0.0)
 
-    def propagate_order(self, order: list[int]) -> float:
-        """Full forward pass over a pre-sorted topological node order."""
-        preds, dur = self.preds, self.dur
-        start, finish = self.start, self.finish
-        for node in order:
+    # ------------------------------------------------------------------
+    # point form: sweep, patch, apply
+    # ------------------------------------------------------------------
+    def propagate_order(self) -> float:
+        """Time the point form: one sweep in canonical key order.
+
+        Sets :attr:`start`, :attr:`finish` and :attr:`tight` at every
+        live node, and :attr:`makespan` (``max`` over the task
+        finishes, ``0.0`` without tasks).
+        """
+        self.makespan = self._sweep(self.alloc, self.seq, self.start, self.finish, self.tight)
+        return self.makespan
+
+    def patch(self, realloc, seq: list[int] | None = None) -> float:
+        """Makespan of the point edited by ``realloc`` and ``seq``.
+
+        ``realloc`` is an iterable of ``(task index, processor)``
+        pairs; ``seq``, when given, replaces the sequence.  The base
+        state is left untouched, also when the edited point is invalid
+        (the sweep validates before it writes anything).
+        """
+        alloc = self.alloc.copy()
+        for task, proc in realloc:
+            alloc[task] = proc
+        return self._sweep(alloc, self.seq if seq is None else seq, None, None, None)
+
+    def apply(self, realloc, seq: list[int] | None = None) -> float:
+        """Fold the edit :meth:`patch` would time into the base state.
+
+        Takes ownership of ``seq``.  Returns the new makespan; on an
+        invalid edit it raises and changes nothing.
+        """
+        alloc = self.alloc.copy()
+        for task, proc in realloc:
+            alloc[task] = proc
+        if seq is None:
+            seq = self.seq
+        self.makespan = self._sweep(alloc, seq, self.start, self.finish, self.tight)
+        self.alloc, self.seq = alloc, seq
+        st = self.statics
+        esrc, edst, active = st.esrc, st.edst, self.active
+        for task, _ in realloc:
+            for rows in (st.pred_rows, st.succ_rows):
+                for e in rows[task]:
+                    active[e] = alloc[esrc[e]] != alloc[edst[e]]
+        self.num_active = sum(active)
+        return self.makespan
+
+    def _sweep(self, alloc, seq, start, finish, tight) -> float:
+        """Run the backend's point pass (resolved once per kernel)."""
+        if self.seq is None:
+            raise SchedulingError("the point sweep requires the point form (from_point)")
+        compiled = self._point_pass
+        if compiled is None:
+            compiled = self._point_pass = current_backend().point_pass(self.statics) or False
+        if compiled:
+            ms, self.timed_nodes = compiled(alloc, seq, start, finish, tight)
+        else:
+            ms, self.timed_nodes = self._point_loop(alloc, seq, start, finish, tight)
+        return ms
+
+    def _point_loop(self, alloc, seq, start, finish, tight) -> tuple[float, int]:
+        """The pure-Python point sweep (reference of the compiled one).
+
+        Returns ``(makespan, timed nodes)``.  ``start`` / ``finish`` /
+        ``tight`` are lists with one entry per kernel node that receive
+        every live node's times and tight predecessor, or ``None``.
+        Validates everything before it writes: the out lists (type,
+        size), ``alloc`` (size, processor range), ``seq`` (size, a
+        permutation of the tasks, topological) and the links of remote
+        edges.
+
+        For each task ``v`` in sequence order, on ``q = alloc[v]``, the
+        sweep first times ``v``'s remote in-edges in increasing source
+        position — each transfer starts at the max of ``0.0``, its
+        source's finish and the finishes of the last transfers on the
+        source's send port and on ``q``'s receive port — and then ``v``
+        itself, at the max of ``0.0``, each in-edge's predecessor (the
+        source if local, the transfer if remote) and the last task on
+        ``q``.  A node's tight predecessor is its first maximal
+        predecessor in that canonical order: in-edges by edge index,
+        then the previous task (tasks); source, previous send, previous
+        receive (transfers).
+        """
+        st = self.statics
+        n, num_procs = st.num_tasks, st.num_procs
+        size = n + st.num_edges
+        for name, arr in (("start", start), ("finish", finish), ("tight", tight)):
+            if arr is not None:
+                if not isinstance(arr, list):
+                    raise TypeError(f"{name} must be a list, not {type(arr).__name__}")
+                if len(arr) != size:
+                    raise ValueError(f"{name} has {len(arr)} entries, expected {size}")
+        if len(alloc) != n:
+            raise ValueError(f"alloc has {len(alloc)} entries, expected {n}")
+        _check_procs(alloc, num_procs)
+        if len(seq) != n:
+            raise ValueError(f"seq has {len(seq)} entries, expected {n}")
+        pos = [-1] * n
+        for i, v in enumerate(seq):
+            if not (0 <= v < n) or pos[v] >= 0:
+                raise SchedulingError("sequence is not a permutation of the tasks")
+            pos[v] = i
+        esrc, pred_rows = st.esrc, st.pred_rows
+        for v, row in enumerate(pred_rows):
+            pv = pos[v]
+            for e in row:
+                if pos[esrc[e]] >= pv:
+                    raise SchedulingError("sequence is not a topological order")
+        _check_links(st, alloc)
+
+        if start is None:
+            start = [0.0] * size
+        if finish is None:
+            finish = [0.0] * size
+        if tight is None:
+            tight = [-1] * size
+        exec_, edata, link_rows = st.exec_, st.edata, st.link_rows
+        proc_last = [-1] * num_procs
+        send_last = [-1] * num_procs
+        recv_last = [-1] * num_procs
+        timed = n
+        for v in seq:
+            q = alloc[v]
+            row = pred_rows[v]
+            remote = [e for e in row if alloc[esrc[e]] != q]
+            if remote:
+                if len(remote) > 1:
+                    remote.sort(key=lambda e: pos[esrc[e]])
+                timed += len(remote)
+                for e in remote:
+                    u = esrc[e]
+                    a = alloc[u]
+                    node = n + e
+                    t = u
+                    tf = finish[u]
+                    s = 0.0
+                    if tf > s:
+                        s = tf
+                    for p in (send_last[a], recv_last[q]):
+                        if p >= 0:
+                            f = finish[p]
+                            if f > s:
+                                s = f
+                            if f > tf:
+                                t, tf = p, f
+                    start[node] = s
+                    finish[node] = s + edata[e] * link_rows[a][q]
+                    tight[node] = t
+                    send_last[a] = recv_last[q] = node
             s = 0.0
-            for p in preds[node]:
+            t = -1
+            tf = 0.0
+            for e in row:
+                u = esrc[e]
+                p = u if alloc[u] == q else n + e
                 f = finish[p]
                 if f > s:
                     s = f
-            start[node] = s
-            finish[node] = s + dur[node]
-        return self._scan_makespan()
-
-    def _scan_makespan(self) -> float:
-        n = self.statics.num_tasks
-        self.makespan = max(self.finish[:n], default=0.0)
-        return self.makespan
-
-    # ------------------------------------------------------------------
-    # patch
-    # ------------------------------------------------------------------
-    def patch(
-        self,
-        dirty: list[int],
-        removed: set[int],
-        new_preds: dict[int, list[int]],
-        new_dur: dict[int, float],
-        key_of,
-    ) -> KernelPatch:
-        """Overlay re-propagation downstream of ``dirty`` (no mutation).
-
-        ``key_of`` maps a node index to an int every constraint edge of
-        the *patched* DAG strictly increases, so processing a node after
-        everything it depends on is guaranteed.  Requires
-        :meth:`build_succs` to have run.
-        """
-        n = self.statics.num_tasks
-        if self._ov_stamp is None:
-            size = len(self.preds)
-            self._ov_start = [0.0] * size
-            self._ov_finish = [0.0] * size
-            self._ov_stamp = [0] * size
-        self._gen += 1
-        gen = self._gen
-        ov_start, ov_finish, ov_stamp = self._ov_start, self._ov_finish, self._ov_stamp
-        preds, succs, dur = self.preds, self.succs, self.dur
-        base_finish, active = self.finish, self.active
-
-        heap = [(key_of(node), node) for node in dirty]
-        heapify(heap)
-        visited: list[int] = []
-        while heap:
-            _, node = heappop(heap)
-            if ov_stamp[node] == gen:
-                continue
-            ov_stamp[node] = gen
-            visited.append(node)
-            plist = new_preds.get(node)
-            if plist is None:
-                plist = preds[node]
-            s = 0.0
-            for p in plist:
-                f = ov_finish[p] if ov_stamp[p] == gen else base_finish[p]
+                if t < 0 or f > tf:
+                    t, tf = p, f
+            p = proc_last[q]
+            if p >= 0:
+                f = finish[p]
                 if f > s:
                     s = f
-            d = new_dur.get(node)
-            if d is None:
-                d = dur[node]
-            f = s + d
-            ov_start[node] = s
-            ov_finish[node] = f
-            if (node >= n and not active[node - n]) or f != base_finish[node]:
-                for succ in succs[node]:
-                    if succ not in removed and ov_stamp[succ] != gen:
-                        heappush(heap, (key_of(succ), succ))
-
-        ms = 0.0
-        for i in range(n):
-            f = ov_finish[i] if ov_stamp[i] == gen else base_finish[i]
-            if f > ms:
-                ms = f
-        return KernelPatch(
-            nodes=visited,
-            start=[ov_start[node] for node in visited],
-            finish=[ov_finish[node] for node in visited],
-            new_preds=new_preds,
-            new_dur=new_dur,
-            removed=removed,
-            makespan=ms,
-        )
-
-    def apply(self, patch: KernelPatch) -> float:
-        """Fold a patch into the base state; cost ~ size of the change."""
-        n = self.statics.num_tasks
-        preds, succs, active = self.preds, self.succs, self.active
-        for node in patch.removed:
-            for p in preds[node]:
-                if p not in patch.removed:
-                    succs[p].remove(node)
-            preds[node] = []
-            succs[node] = []
-            active[node - n] = 0
-        for node, plist in patch.new_preds.items():
-            for p in preds[node]:
-                if p not in patch.removed:
-                    succs[p].remove(node)
-            preds[node] = list(plist)
-            for p in plist:
-                succs[p].append(node)
-            if node >= n:
-                active[node - n] = 1
-        for node, d in patch.new_dur.items():
-            self.dur[node] = d
-        start, finish = self.start, self.finish
-        for i, node in enumerate(patch.nodes):
-            start[node] = patch.start[i]
-            finish[node] = patch.finish[i]
-        self.makespan = patch.makespan
-        return self.makespan
+                if t < 0 or f > tf:
+                    t = p
+            start[v] = s
+            finish[v] = s + exec_[v][q]
+            tight[v] = t
+            proc_last[q] = v
+        return max(finish[:n], default=0.0), timed

@@ -41,7 +41,8 @@ CATALOG: dict[str, tuple[str, str]] = {
     "search.sideways": ("count", "equal-makespan moves accepted"),
     "search.kicks": ("count", "perturbation kicks applied"),
     "search.rounds": ("count", "improvement rounds executed"),
-    "search.patched_nodes": ("count", "kernel nodes re-timed by move patches"),
+    "search.patched_nodes": (
+        "count", "kernel nodes timed by move previews (each task and remote transfer)"),
     # online engine (online/engine.py)
     "online.events.arrival": ("count", "job-arrival events processed"),
     "online.events.finish": ("count", "activity-finish events processed"),

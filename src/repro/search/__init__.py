@@ -30,21 +30,22 @@ Move taxonomy
     The underlying sequence primitive (move a task earlier), exposed
     for custom neighborhoods.
 
-Incremental-evaluation contract
--------------------------------
-Each move reports the constraint-DAG nodes it *invalidates* — nodes
-whose duration or predecessor list changes, plus transfers removed
-because their edge became local
-(:meth:`~repro.search.neighborhood.Move.invalidates`).  The
-:class:`~repro.search.evaluate.IncrementalEvaluator` caches the timed
-constraint DAG of the current point — compiled to the flat integer
-arrays of :mod:`repro.kernel` — and, per move, recomputes predecessor
-lists for exactly the invalidated nodes and re-propagates start/finish
-times only downstream of nodes whose finish changed.  The
-previewed makespan must equal the makespan of a full
-:func:`~repro.simulate.replay.replay` of the new decision set — same
-constraints, same least fixed point, same float operations — and the
-test suite cross-checks this equality on every accepted move.
+Evaluation contract
+-------------------
+Each move reduces to one *edit* at a point
+(:meth:`~repro.search.neighborhood.Move.edit`): the reallocations it
+makes plus at most one sequence reposition.  The
+:class:`~repro.search.evaluate.IncrementalEvaluator` keeps the current
+point in the point form of the flat kernel (:mod:`repro.kernel`: the
+allocation and the sequence as int lists) and previews a move by
+re-timing the edited point in one forward sweep in canonical key order
+— the processor and port orders are the sequence restricted to each
+resource, so the sweep needs no adjacency beyond the graph's — compiled
+under the ``cext`` backend.  The previewed makespan must equal the
+makespan of a full :func:`~repro.simulate.replay.replay` of the new
+decision set — same constraints, same least fixed point, same float
+operations — and the test suite checks this equality exactly on every
+move of seeded walks.
 
 Entry points
 ------------
@@ -62,7 +63,6 @@ from .neighborhood import (
     MoveTask,
     Reposition,
     SwapTasks,
-    invalidated,
     propose,
 )
 from .point import SearchPoint, comm_node, task_node
@@ -78,7 +78,6 @@ __all__ = [
     "SearchPoint",
     "SwapTasks",
     "comm_node",
-    "invalidated",
     "propose",
     "task_node",
 ]

@@ -1,19 +1,20 @@
-"""Incremental replay evaluation of schedule decisions, on the flat kernel.
+"""Move evaluation on the flat kernel: one compiled sweep per preview.
 
 :class:`IncrementalEvaluator` holds the timed constraint DAG of one
-decision point — compiled to the integer-indexed arrays of
-:mod:`repro.kernel` (task ``i`` is node ``i``, the transfer slot of
-graph edge ``e`` is node ``n + e``) — and answers "what would this move
-do to the makespan?" without rebuilding it.
-:meth:`~IncrementalEvaluator.preview` takes the move's invalidation set
-(:func:`repro.search.neighborhood.invalidated`), recomputes predecessor
-lists for exactly those nodes, and asks the kernel to re-propagate
-start/finish times only *downstream* of nodes whose finish actually
-changed, in global key order (see :meth:`SearchPoint.key`, flattened to
-a single int per node), collecting results in generation-stamped
-overlays that leave the base state untouched.
-:meth:`~IncrementalEvaluator.commit` folds a preview's overlay into the
-base state in time proportional to the disturbance, not the graph.
+decision point in the point form of :class:`~repro.kernel.TimedKernel`
+(task ``i`` is node ``i``, the transfer slot of graph edge ``e`` is node
+``n + e``; the point itself is two int lists, the allocation and the
+global sequence) and answers "what would this move do to the
+makespan?" without building the new point.
+:meth:`~IncrementalEvaluator.preview` interns the move's
+:meth:`~repro.search.neighborhood.Move.edit` — reallocations by task
+index, and a reposition as one splice of the int sequence — and asks
+the kernel to :meth:`~repro.kernel.TimedKernel.patch` it: one forward
+sweep of the edited point in canonical key order (see
+:meth:`SearchPoint.key`), compiled under the ``cext`` backend, that
+leaves the base state untouched.
+:meth:`~IncrementalEvaluator.commit` folds the edit in with
+:meth:`~repro.kernel.TimedKernel.apply` and installs the new point.
 
 Contract: for every point and every move, ``preview(move).makespan``
 equals the makespan of ``replay(graph, platform, new_point.to_decisions())``
@@ -22,9 +23,8 @@ constraints with the same float operations.  :meth:`cross_check`
 asserts this equivalence and the test suite exercises it on every
 accepted move of seeded searches.
 
-For debugging and white-box tests, :attr:`~IncrementalEvaluator._preds`,
-:attr:`~IncrementalEvaluator._start`, and
-:attr:`~IncrementalEvaluator._finish` expose the kernel state as the
+For debugging and white-box tests, :attr:`~IncrementalEvaluator._start`
+and :attr:`~IncrementalEvaluator._finish` expose the kernel state as the
 object-level ``("task", v)`` / ``("comm", u, v, 0)`` dictionaries the
 pre-kernel implementation stored directly (rebuilt on each access — do
 not use them in hot paths).
@@ -33,17 +33,15 @@ not use them in hot paths).
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
-from math import isfinite
 
-from ..core.exceptions import PlatformError, SchedulingError
+from ..core.exceptions import SchedulingError
 from ..core.platform import Platform
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
-from ..kernel import KernelPatch, TimedKernel, compile_statics
+from ..kernel import TimedKernel, compile_statics
 from ..obs import current as _obs_current
 from ..simulate.replay import replay
-from .neighborhood import Move, invalidated
+from .neighborhood import Edit, Move, apply_edit
 from .point import Node, SearchPoint, comm_node, task_node
 
 TaskId = Hashable
@@ -53,21 +51,40 @@ TaskId = Hashable
 CHECK_TOL = 1e-9
 
 
-@dataclass(slots=True)
 class MovePreview:
-    """Everything one evaluated move produced, ready to commit.
+    """One evaluated move, ready to commit.
 
-    ``patch`` holds the kernel overlay (node indices, re-timed
-    start/finish, replacement predecessor lists and durations);
-    ``new_lists`` the rebuilt object-level resource orders keyed by
-    ``(kind, proc)``.
+    Holds the move, the previewed makespan and the move's
+    :data:`~repro.search.neighborhood.Edit` at the evaluated point, plus
+    the kernel form of that edit.  :attr:`point` is built on first
+    access: only commits and tests read it.
     """
 
-    move: Move
-    point: SearchPoint
-    makespan: float
-    patch: KernelPatch
-    new_lists: dict[tuple, list]
+    __slots__ = ("move", "makespan", "edit", "_base", "_point", "_realloc", "_seq")
+
+    def __init__(
+        self,
+        move: Move,
+        makespan: float,
+        edit: Edit,
+        base: SearchPoint,
+        realloc: list[tuple[int, int]],
+        seq: list[int] | None,
+    ) -> None:
+        self.move = move
+        self.makespan = makespan
+        self.edit = edit
+        self._base = base
+        self._point: SearchPoint | None = None
+        self._realloc = realloc
+        self._seq = seq
+
+    @property
+    def point(self) -> SearchPoint:
+        """The point the move leads to."""
+        if self._point is None:
+            self._point = apply_edit(self._base, self.edit)
+        return self._point
 
 
 class IncrementalEvaluator:
@@ -76,12 +93,11 @@ class IncrementalEvaluator:
     def __init__(self, graph: TaskGraph, platform: Platform) -> None:
         self.graph = graph
         self.platform = platform
-        self._maps = graph.as_maps()
         self._statics = compile_statics(graph, platform)
         self._point: SearchPoint | None = None
         self._kern: TimedKernel | None = None
-        self._lists: dict[tuple, list] = {}
-        self._pos: list[int] | None = None
+        #: Sequence position per task index (the inverse of ``kern.seq``).
+        self._pos: list[int] = []
         self._makespan = 0.0
         # active obs collector, captured once (None = stats off)
         self._stats = _obs_current()
@@ -107,56 +123,13 @@ class IncrementalEvaluator:
             return self._load(point)
 
     def _load(self, point: SearchPoint) -> float:
-        st = self._statics
-        self._point = point
-        self._lists = {
-            (kind, p): point.resource_list(kind, p)
-            for kind in ("proc", "send", "recv")
-            for p in self.platform.processors
-        }
-        kern = TimedKernel.from_point(st, point)
-        kern.build_succs()
-        self._kern = kern
-        self._pos = pos = self._pos_array(point)
-        order = sorted(kern.active_nodes(), key=self._key_of(pos))
-        self._makespan = kern.propagate_order(order)
+        kern = TimedKernel.from_point(self._statics, point)
+        self._makespan = kern.propagate_order()
+        pos = [0] * len(kern.seq)
+        for i, v in enumerate(kern.seq):
+            pos[v] = i
+        self._kern, self._point, self._pos = kern, point, pos
         return self._makespan
-
-    # ------------------------------------------------------------------
-    # interning helpers
-    # ------------------------------------------------------------------
-    def _pos_array(self, point: SearchPoint) -> list[int]:
-        """Sequence positions as an int array indexed by task index."""
-        st = self._statics
-        intern = st.intern
-        pos = [0] * st.num_tasks
-        for i, t in enumerate(point.sequence):
-            pos[intern(t)] = i
-        return pos
-
-    def _key_of(self, pos: list[int]):
-        """Flat int version of :meth:`SearchPoint.key` over node indices.
-
-        Maps the lexicographic ``(pos(consumer), kind, pos(source))``
-        triple to ``(2 * pos + kind) * n + pos(source)``; every
-        constraint edge strictly increases it.
-        """
-        st = self._statics
-        n, esrc, edst = st.num_tasks, st.esrc, st.edst
-
-        def key(node: int) -> int:
-            if node < n:
-                return (pos[node] * 2 + 1) * n
-            e = node - n
-            return pos[edst[e]] * 2 * n + pos[esrc[e]]
-
-        return key
-
-    def _node_index(self, node: Node) -> int:
-        st = self._statics
-        if node[0] == "task":
-            return st.tindex[node[1]]
-        return st.num_tasks + st.eindex[(node[1], node[2])]
 
     def _node_tuple(self, ix: int) -> Node:
         st = self._statics
@@ -166,133 +139,67 @@ class IncrementalEvaluator:
         return comm_node(u, v)
 
     # ------------------------------------------------------------------
-    # incremental evaluation
+    # move evaluation
     # ------------------------------------------------------------------
-    def _preds_of(
-        self, node: Node, ix: int, point: SearchPoint, lists: dict[tuple, list]
-    ) -> list[int]:
-        """Predecessor node indices of ``node`` at ``point``, using the
-        patched resource lists where provided and the cached base lists
-        elsewhere."""
-        st = self._statics
-        base = self._lists
-
-        def order(kind: str, proc: int) -> list:
-            key = (kind, proc)
-            return lists[key] if key in lists else base[key]
-
-        n, tasks, esrc = st.num_tasks, st.tasks, st.esrc
-        alloc = point.alloc
-        if node[0] == "task":
-            v = node[1]
-            av = alloc[v]
-            out = [
-                esrc[e] if alloc[tasks[esrc[e]]] == av else n + e
-                for e in st.pred_rows[ix]
-            ]
-            row = order("proc", av)
-            i = row.index(v)
-            if i > 0:
-                out.append(st.tindex[row[i - 1]])
-            return out
-        _, u, v, _ = node
-        e = ix - n
-        out = [esrc[e]]
-        eindex = st.eindex
-        for kind, proc in (("send", alloc[u]), ("recv", alloc[v])):
-            row = order(kind, proc)
-            i = row.index((u, v, 0))
-            if i > 0:
-                prev = row[i - 1]
-                out.append(n + eindex[(prev[0], prev[1])])
-        return out
-
-    def _duration_of(self, node: Node, ix: int, point: SearchPoint) -> float:
-        st = self._statics
-        if node[0] == "task":
-            return st.exec_[ix][point.alloc[node[1]]]
-        _, u, v, _ = node
-        a, b = point.alloc[u], point.alloc[v]
-        if a == b:
-            return 0.0
-        cost = st.link_rows[a][b]
-        if not st.all_links_finite and not isfinite(cost):
-            raise PlatformError(f"no direct link from P{a} to P{b}")
-        return st.edata[ix - st.num_tasks] * cost
-
     def preview(self, move: Move) -> MovePreview:
         """Evaluate ``move`` without touching the base state."""
-        old = self.point
-        new = move.apply(old)
-        dirty, removed, new_lists = invalidated(
-            old, new, move.touched(old), old_lists=lambda k, p: self._lists[(k, p)]
-        )
-        nix = self._node_index
-        removed_ix = {nix(nd) for nd in removed}
-        new_preds: dict[int, list[int]] = {}
-        new_dur: dict[int, float] = {}
-        dirty_ix = []
-        for nd in dirty:
-            ix = nix(nd)
-            dirty_ix.append(ix)
-            new_preds[ix] = self._preds_of(nd, ix, new, new_lists)
-            new_dur[ix] = self._duration_of(nd, ix, new)
-        pos = self._pos if new.sequence is old.sequence else self._pos_array(new)
-        patch = self._kern.patch(
-            dirty_ix, removed_ix, new_preds, new_dur, self._key_of(pos)
-        )
+        point = self.point
+        edit = move.edit(point)
+        realloc, reposition = edit
+        kern = self._kern
+        intern = self._statics.intern
+        realloc_ix = [(intern(task), proc) for task, proc in realloc]
+        seq = None
+        if reposition is not None:
+            task, before = reposition
+            t = intern(task)
+            seq = kern.seq.copy()
+            del seq[self._pos[t]]
+            seq.insert(self._pos[intern(before)], t)
+        ms = kern.patch(realloc_ix, seq)
         if self._stats is not None:
             self._stats.inc("search.previews")
-            self._stats.inc("search.patched_nodes", len(patch.nodes))
-        return MovePreview(move, new, patch.makespan, patch, new_lists)
+            self._stats.inc("search.patched_nodes", kern.timed_nodes)
+        return MovePreview(move, ms, edit, point, realloc_ix, seq)
 
     def commit(self, preview: MovePreview) -> float:
-        """Fold a preview into the base state; cost ~ size of the change."""
+        """Fold a preview into the base state and install its point."""
         if self._stats is not None:
             self._stats.inc("search.commits")
-        kern = self._kern
-        st = self._statics
-        kern.apply(preview.patch)
-        new = preview.point
-        n = st.num_tasks
-        alloc = new.alloc
-        tasks = st.tasks
-        for ix in preview.patch.new_dur:
-            if ix < n:
-                kern.alloc[ix] = alloc[tasks[ix]]
-        if new.sequence is not self.point.sequence:
-            self._pos = self._pos_array(new)
-        self._lists.update(preview.new_lists)
-        self._point = new
-        self._makespan = preview.makespan
+        self._makespan = self._kern.apply(preview._realloc, preview._seq)
+        reposition = preview.edit[1]
+        if reposition is not None:
+            # the splice shifted every task from the new slot of the
+            # moved one up to its old slot by one
+            intern, pos, seq = self._statics.intern, self._pos, preview._seq
+            for i in range(pos[intern(reposition[1])], pos[intern(reposition[0])] + 1):
+                pos[seq[i]] = i
+        self._point = preview.point
         return self._makespan
 
     def critical_path_tasks(self) -> list[TaskId]:
         """Tasks on one scheduled critical chain, latest-finishing first.
 
-        Walks tight predecessors (the activity whose finish released the
-        node) back from the makespan-defining task; deterministic, so
-        seeded searches can bias moves toward the chain reproducibly.
+        Walks tight predecessors (the first activity, in canonical
+        order, whose finish released the node) back from the
+        makespan-defining task; deterministic and independent of how
+        the point was reached, so seeded searches can bias moves toward
+        the chain reproducibly.
         """
         kern = self._kern
         if kern is None:
             return []
         st = self._statics
-        fin = kern.finish
         n = st.num_tasks
         if n == 0:
             return []
-        node = max(range(n), key=fin.__getitem__)
-        preds = kern.preds
+        node = max(range(n), key=kern.finish.__getitem__)
+        tight, tasks = kern.tight, st.tasks
         out: list[TaskId] = []
-        while node is not None:
+        while node >= 0:
             if node < n:
-                out.append(st.tasks[node])
-            tight = None
-            for p in preds[node]:
-                if tight is None or fin[p] > fin[tight]:
-                    tight = p
-            node = tight
+                out.append(tasks[node])
+            node = tight[node]
         return out
 
     # ------------------------------------------------------------------
@@ -307,12 +214,6 @@ class IncrementalEvaluator:
         for e in range(st.num_edges):
             if active[e]:
                 yield n + e
-
-    @property
-    def _preds(self) -> dict[Node, list[Node]]:
-        nt = self._node_tuple
-        preds = self._kern.preds
-        return {nt(ix): [nt(p) for p in preds[ix]] for ix in self._live_nodes()}
 
     @property
     def _start(self) -> dict[Node, float]:

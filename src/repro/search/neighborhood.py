@@ -1,4 +1,4 @@
-"""Typed moves over decision points, with constraint-DAG invalidation sets.
+"""Typed moves over decision points, each reduced to one edit.
 
 Move taxonomy
 -------------
@@ -19,47 +19,58 @@ Move taxonomy
     keys.
 
 Every move maps a feasible :class:`~repro.search.point.SearchPoint` to a
-feasible one (see the :mod:`point <repro.search.point>` docstring), and
-:meth:`Move.invalidates` reports exactly which constraint-DAG nodes the
-move touches: the nodes whose duration or predecessor list changes
-(``dirty``) and the transfer nodes that disappear because their edge
-became processor-local (``removed``).  The incremental evaluator
-re-propagates times only downstream of these nodes.
+feasible one (see the :mod:`point <repro.search.point>` docstring).
+:meth:`Move.edit` validates the move at a point and reduces it to an
+:data:`Edit` — the reallocations it makes plus at most one sequence
+reposition — and :meth:`Move.apply` builds the new point from that edit,
+so move semantics live in one place.  The incremental evaluator interns
+the same edit and re-times the edited point in one kernel sweep.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 from ..core.exceptions import SchedulingError
 from ..core.platform import Platform
-from .point import Node, SearchPoint, comm_node, task_node
+from .point import SearchPoint
 
 TaskId = Hashable
 
-#: ``(dirty nodes, removed nodes, patched resource lists)``.
-Invalidation = tuple[set[Node], set[Node], dict[tuple, list]]
+#: What a move changes at a point: ``(realloc, reposition)``, where
+#: ``realloc`` is a tuple of ``(task, proc)`` reallocations and
+#: ``reposition`` is ``None`` or ``(task, before)`` — move ``task`` to
+#: just before ``before`` in the sequence.
+Edit = tuple[tuple[tuple[TaskId, int], ...], tuple[TaskId, TaskId] | None]
+
+
+def apply_edit(point: SearchPoint, edit: Edit) -> SearchPoint:
+    """The point ``edit`` (from :meth:`Move.edit` at ``point``) leads to."""
+    realloc, reposition = edit
+    alloc = None
+    if realloc:
+        alloc = dict(point.alloc)
+        alloc.update(realloc)
+    sequence = None
+    if reposition is not None:
+        task, before = reposition
+        sequence = list(point.sequence)
+        sequence.remove(task)
+        sequence.insert(point.pos[before], task)
+    return point.replace(alloc=alloc, sequence=sequence)
 
 
 class Move:
     """A transformation of one decision point into a neighboring one."""
 
+    def edit(self, point: SearchPoint) -> Edit:
+        """Validate this move at ``point`` and return its :data:`Edit`;
+        raises :class:`SchedulingError` when it does not apply."""
+        raise NotImplementedError
+
     def apply(self, point: SearchPoint) -> SearchPoint:
-        raise NotImplementedError
-
-    def touched(self, point: SearchPoint) -> tuple[TaskId, ...]:
-        """Tasks whose allocation or relative order this move changes."""
-        raise NotImplementedError
-
-    def invalidates(
-        self, point: SearchPoint, new_point: SearchPoint | None = None
-    ) -> tuple[set[Node], set[Node]]:
-        """Constraint-DAG nodes whose timing inputs this move changes."""
-        if new_point is None:
-            new_point = self.apply(point)
-        dirty, removed, _ = invalidated(point, new_point, self.touched(point))
-        return dirty, removed
+        return apply_edit(point, self.edit(point))
 
 
 @dataclass(frozen=True)
@@ -69,15 +80,10 @@ class MoveTask(Move):
     task: TaskId
     proc: int
 
-    def apply(self, point: SearchPoint) -> SearchPoint:
+    def edit(self, point: SearchPoint) -> Edit:
         if point.alloc[self.task] == self.proc:
             raise SchedulingError(f"task {self.task!r} is already on P{self.proc}")
-        alloc = dict(point.alloc)
-        alloc[self.task] = self.proc
-        return point.replace(alloc=alloc)
-
-    def touched(self, point: SearchPoint) -> tuple[TaskId, ...]:
-        return (self.task,)
+        return ((self.task, self.proc),), None
 
 
 @dataclass(frozen=True)
@@ -87,16 +93,11 @@ class SwapTasks(Move):
     a: TaskId
     b: TaskId
 
-    def apply(self, point: SearchPoint) -> SearchPoint:
+    def edit(self, point: SearchPoint) -> Edit:
         pa, pb = point.alloc[self.a], point.alloc[self.b]
         if pa == pb:
             raise SchedulingError(f"tasks {self.a!r}/{self.b!r} share P{pa}")
-        alloc = dict(point.alloc)
-        alloc[self.a], alloc[self.b] = pb, pa
-        return point.replace(alloc=alloc)
-
-    def touched(self, point: SearchPoint) -> tuple[TaskId, ...]:
-        return (self.a, self.b)
+        return ((self.a, pb), (self.b, pa)), None
 
 
 @dataclass(frozen=True)
@@ -117,19 +118,13 @@ class Reposition(Move):
             not (lo <= pos[u] < hi) for u in point.graph.as_maps().preds[self.task]
         )
 
-    def apply(self, point: SearchPoint) -> SearchPoint:
+    def edit(self, point: SearchPoint) -> Edit:
         if not self.feasible(point):
             raise SchedulingError(
                 f"repositioning {self.task!r} before {self.before!r} "
                 f"would break the topological sequence"
             )
-        sequence = list(point.sequence)
-        sequence.remove(self.task)
-        sequence.insert(point.pos[self.before], self.task)
-        return point.replace(sequence=sequence)
-
-    def touched(self, point: SearchPoint) -> tuple[TaskId, ...]:
-        return (self.task,)
+        return (), (self.task, self.before)
 
 
 @dataclass(frozen=True)
@@ -158,103 +153,11 @@ class AdjacentExchange(Move):
             move = Reposition(v2, v1) if v1 != v2 else Reposition(u2, u1)
         return move if move.feasible(point) else None
 
-    def apply(self, point: SearchPoint) -> SearchPoint:
+    def edit(self, point: SearchPoint) -> Edit:
         move = self.resolve(point)
         if move is None:
             raise SchedulingError(f"{self} is not applicable at this point")
-        return move.apply(point)
-
-    def touched(self, point: SearchPoint) -> tuple[TaskId, ...]:
-        move = self.resolve(point)
-        if move is None:
-            raise SchedulingError(f"{self} is not applicable at this point")
-        return move.touched(point)
-
-
-# ----------------------------------------------------------------------
-# invalidation
-# ----------------------------------------------------------------------
-def _prev_changed(old_list: list, new_list: list) -> list:
-    """Entries of ``new_list`` whose immediate predecessor differs from
-    their predecessor in ``old_list`` (including entries new to the list)."""
-    old_prev: dict = {}
-    prev = None
-    for entry in old_list:
-        old_prev[entry] = prev
-        prev = entry
-    changed = []
-    prev = None
-    for entry in new_list:
-        if entry not in old_prev or old_prev[entry] != prev:
-            changed.append(entry)
-        prev = entry
-    return changed
-
-
-def invalidated(
-    old: SearchPoint,
-    new: SearchPoint,
-    touched: tuple[TaskId, ...],
-    old_lists: Callable[[str, int], list] | None = None,
-) -> Invalidation:
-    """Diff two points into the evaluator's re-propagation inputs.
-
-    Returns ``(dirty, removed, new_lists)``: the constraint-DAG nodes
-    whose duration or predecessor list changes, the transfer nodes whose
-    edge became local, and the rebuilt resource orders keyed by
-    ``(kind, proc)`` — exactly the lists that may differ between the two
-    points.  ``old_lists`` lets a caller (the incremental evaluator)
-    supply its cached base lists instead of recomputing them.
-    """
-    maps = old.graph.as_maps()
-    if old_lists is None:
-        old_lists = old.resource_list
-    dirty: set[Node] = set()
-    removed: set[Node] = set()
-
-    for x in touched:
-        dirty.add(task_node(x))
-        for u in maps.preds[x]:
-            node = comm_node(u, x)
-            if new.is_remote(u, x):
-                dirty.add(node)
-            elif old.is_remote(u, x):
-                removed.add(node)
-        for w in maps.succs[x]:
-            node = comm_node(x, w)
-            if new.is_remote(x, w):
-                dirty.add(node)
-            elif old.is_remote(x, w):
-                removed.add(node)
-            if old.is_remote(x, w) != new.is_remote(x, w):
-                # the consumer's predecessor switches between the source
-                # task (local) and the transfer node (remote)
-                dirty.add(task_node(w))
-
-    def allocs(tasks) -> set[int]:
-        out = set()
-        for t in tasks:
-            out.add(old.alloc[t])
-            out.add(new.alloc[t])
-        return out
-
-    parents = {u for x in touched for u in maps.preds[x]}
-    children = {w for x in touched for w in maps.succs[x]}
-    affected = (
-        ("proc", allocs(touched)),
-        ("send", allocs(touched) | allocs(parents)),
-        ("recv", allocs(touched) | allocs(children)),
-    )
-    new_lists: dict[tuple, list] = {}
-    for kind, procs in affected:
-        for p in sorted(procs):
-            old_l = old_lists(kind, p)
-            new_l = new.resource_list(kind, p)
-            new_lists[(kind, p)] = new_l
-            for entry in _prev_changed(old_l, new_l):
-                dirty.add(task_node(entry) if kind == "proc" else ("comm", *entry))
-    dirty -= removed
-    return dirty, removed, new_lists
+        return move.edit(point)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,13 @@ from repro import HEFT, Platform
 from repro.core import SchedulingError, TaskGraph
 from repro.graphs import lu_graph
 from repro.kernel import KernelIneligible, TimedKernel, compile_statics
+from repro.kernel.backends import use_backend
+from repro.kernel.cext_backend import cext_available
 from repro.simulate import extract_decisions, replay_object
 from repro.simulate.replay import ReplayDecisions
+
+needs_cext = pytest.mark.skipif(not cext_available(), reason="cext extension not built")
+PASSES = [pytest.param("python"), pytest.param("cext", marks=needs_cext)]
 
 
 class TestStatics:
@@ -91,30 +96,25 @@ class TestTimedKernel:
             assert kern.finish[i] == ref.finish_of(v)
         assert kern.makespan == ref.makespan()
 
-    def test_from_point_matches_from_decisions(self, paper_platform):
+    @pytest.mark.parametrize("backend", PASSES)
+    def test_from_point_matches_from_decisions(self, backend, paper_platform):
+        """The point sweep and the one-shot Kahn pass time the same
+        decision set identically, at every node."""
         from repro.search import SearchPoint
 
         g = lu_graph(8)
         sched = HEFT().run(g, paper_platform, "one-port")
         point = SearchPoint.from_schedule(sched)
         st = compile_statics(g, paper_platform)
-        kp = TimedKernel.from_point(st, point)
-        keys = {}
-        n = st.num_tasks
-        pos = {v: i for i, v in enumerate(point.sequence)}
-        for node in kp.active_nodes():
-            if node < n:
-                keys[node] = (pos[st.tasks[node]], 1, 0)
-            else:
-                u, v = st.edges[node - n]
-                keys[node] = (pos[v], 0, pos[u])
-        kp.propagate_order(sorted(kp.active_nodes(), key=keys.__getitem__))
-
-        kd = TimedKernel.from_decisions(st, point.to_decisions(paper_platform.processors))
-        kd.propagate_kahn()
+        with use_backend(backend):
+            kp = TimedKernel.from_point(st, point)
+            kp.propagate_order()
+            kd = TimedKernel.from_decisions(st, point.to_decisions(paper_platform.processors))
+            kd.propagate_kahn()
         assert kp.start == kd.start
         assert kp.finish == kd.finish
         assert kp.makespan == kd.makespan
+        assert kp.timed_nodes == len(kp.active_nodes())
 
     def test_multi_hop_is_ineligible(self, paper_platform):
         g = TaskGraph.from_specs([("u", 1.0), ("v", 1.0)], [("u", "v", 2.0)])

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro import HEFT, ILHA
+from repro import HEFT, ILHA, Platform
 from repro.graphs import (
     fork_join_graph,
     irregular_testbed,
@@ -16,6 +16,8 @@ from repro.graphs import (
     lu_graph,
     stencil_graph,
 )
+from repro.kernel.backends import use_backend
+from repro.kernel.cext_backend import cext_available
 from repro.search import IncrementalEvaluator, MoveTask, SearchPoint, propose
 from repro.simulate import replay
 
@@ -27,6 +29,19 @@ GRAPHS = {
 }
 
 TOL = 1e-9
+
+needs_cext = pytest.mark.skipif(not cext_available(), reason="cext extension not built")
+BACKENDS = [pytest.param("python"), pytest.param("cext", marks=needs_cext)]
+
+#: The paper platform's unit network, and asymmetric non-dyadic links.
+PLATFORMS = {
+    "paper": lambda: Platform.from_groups([(5, 6), (3, 10), (2, 15)]),
+    "skewed-links": lambda: Platform(
+        [6.0, 10.0, 15.0, 6.0, 10.0],
+        [[0.0 if i == j else 0.5 + ((3 * i + 7 * j) % 5) * 0.35 for j in range(5)]
+         for i in range(5)],
+    ),
+}
 
 
 def loaded_evaluator(graph, platform, scheduler=None):
@@ -72,6 +87,31 @@ class TestPreviewCrossCheck:
             assert preview.makespan == pytest.approx(full.makespan(), abs=TOL)
             checked += 1
         assert checked >= 25
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_every_preview_equals_replay_exactly(self, name, platform_name, backend):
+        """Bit-for-bit: every move of a seeded walk (half of them
+        committed) previews to exactly the makespan of a from-scratch
+        replay of the moved-to point."""
+        graph, platform = GRAPHS[name], PLATFORMS[platform_name]()
+        with use_backend(backend):
+            evaluator = loaded_evaluator(graph, platform)
+            rng = random.Random(31)
+            checked = 0
+            for step in range(80):
+                move = propose(evaluator.point, platform, rng)
+                if move is None:
+                    continue
+                preview = evaluator.preview(move)
+                full = replay(graph, platform, preview.point.to_decisions(platform.processors))
+                assert preview.makespan == full.makespan()
+                checked += 1
+                if step % 2:
+                    evaluator.commit(preview)
+                    assert evaluator.makespan == full.makespan()
+        assert checked >= 50
 
     def test_preview_leaves_base_state_untouched(self, paper_platform):
         graph = GRAPHS["lu"]

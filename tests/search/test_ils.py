@@ -144,6 +144,22 @@ class TestDeterminism:
             assert first.start_of(task) == second.start_of(task)
             assert first.proc_of(task) == second.proc_of(task)
 
+    @needs_cext
+    def test_python_and_cext_agree(self, paper_platform):
+        """The compiled and the reference evaluator walk the same search:
+        identical stats and schedules."""
+        graph = irregular_testbed(120, seed=11)
+        runs = {}
+        for backend in ("python", "cext"):
+            with use_backend(backend):
+                runs[backend] = IteratedLocalSearch(base="heft", budget=800, seed=3).run(
+                    graph, paper_platform, "one-port"
+                )
+        py, cx = runs["python"], runs["cext"]
+        assert py.search_stats == cx.search_stats
+        assert ils_digest(py) == ils_digest(cx)
+        assert sorted(py.comm_events) == sorted(cx.comm_events)
+
     def test_different_seeds_may_differ_but_stay_bounded(self, paper_platform):
         graph = irregular_testbed(60, seed=1)
         base_ms = HEFT().run(graph, paper_platform, "one-port").makespan()

@@ -26,7 +26,6 @@ from repro.search import (
     SwapTasks,
     propose,
 )
-from repro.search.neighborhood import invalidated
 from repro.simulate import replay
 
 GRAPHS = {
@@ -176,47 +175,3 @@ class TestMoveSemantics:
         with pytest.raises(Exception, match="topological"):
             move.apply(point)
 
-
-class TestInvalidation:
-    def test_moved_task_is_dirty(self, paper_platform):
-        graph = GRAPHS["lu"]
-        point = start_point(graph, paper_platform)
-        task = point.sequence[4]
-        target = (point.alloc[task] + 1) % paper_platform.num_processors
-        move = MoveTask(task, target)
-        dirty, removed = move.invalidates(point)
-        assert ("task", task) in dirty
-        assert not (dirty & removed)
-
-    def test_localized_edge_is_removed(self, paper_platform):
-        graph = GRAPHS["lu"]
-        point = start_point(graph, paper_platform)
-        u, v = next(iter(point.remote_edges()))
-        move = MoveTask(v, point.alloc[u])
-        dirty, removed = move.invalidates(point)
-        assert ("comm", u, v, 0) in removed
-        assert ("task", v) in dirty
-
-    def test_invalidation_matches_full_diff(self, paper_platform):
-        """Nodes NOT reported dirty/removed keep their predecessor lists
-        — checked against a brute-force diff of both constraint DAGs."""
-        from repro.search import IncrementalEvaluator
-
-        graph = GRAPHS["layered"]
-        point = start_point(graph, paper_platform)
-        rng = random.Random(17)
-        base = IncrementalEvaluator(graph, paper_platform)
-        base.load(point)
-        for _ in range(25):
-            move = propose(point, paper_platform, rng)
-            if move is None:
-                continue
-            new = move.apply(point)
-            dirty, removed, _ = invalidated(point, new, move.touched(point))
-            fresh = IncrementalEvaluator(graph, paper_platform)
-            fresh.load(new)
-            untouched = set(base._preds) - dirty - removed
-            for node in untouched:
-                assert sorted(map(str, base._preds[node])) == sorted(
-                    map(str, fresh._preds[node])
-                ), f"undeclared change at {node} after {move}"
