@@ -177,22 +177,22 @@ def test_sweep_matches_the_replay_kernel(backend, testbed, platform_name):
 
 
 @pytest.mark.parametrize("backend", PASSES)
-def test_tight_is_the_first_maximal_predecessor(backend):
-    """Each live node's tight predecessor finishes exactly at its start
-    (or it has none and starts at 0), and chains end at an entry."""
+def test_tight_predecessor_releases_the_node(backend):
+    """Each live node starts exactly when its tight predecessor
+    finishes; only a task without predecessors has none (and starts
+    at 0)."""
     graph, platform, statics = instance("zero-data", "contended")
     n = statics.num_tasks
     for point in points(graph, platform, seed=3):
         alloc, seq = interned(statics, point)
         _, _, start, finish, tight = run_pass(backend, statics, alloc, seq)
-        for node in range(statics.num_nodes):
-            t = tight[node]
+        for node, t in enumerate(tight):
             if t == -2:
                 continue  # not live
             if t < 0:
-                assert start[node] == 0.0 and node < n
+                assert node < n and start[node] == 0.0
             else:
-                assert finish[t] == start[node] or (start[node] == 0.0 and finish[t] <= 0.0)
+                assert finish[t] == start[node]
 
 
 @pytest.mark.parametrize("backend", PASSES)
