@@ -20,8 +20,8 @@ Contract: for every point and every move, ``preview(move).makespan``
 equals the makespan of ``replay(graph, platform, new_point.to_decisions())``
 exactly — both compute the component-wise least solution of the same
 constraints with the same float operations.  :meth:`cross_check`
-asserts this equivalence and the test suite exercises it on every
-accepted move of seeded searches.
+asserts this equivalence, and the test suite checks it with ``==`` on
+every move of seeded walks, on both kernel tiers.
 
 For debugging and white-box tests, :attr:`~IncrementalEvaluator._start`
 and :attr:`~IncrementalEvaluator._finish` expose the kernel state as the
