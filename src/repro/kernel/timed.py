@@ -505,9 +505,7 @@ class TimedKernel:
         state is left untouched, also when the edited point is invalid
         (the sweep validates before it writes anything).
         """
-        alloc = self.alloc.copy()
-        for task, proc in realloc:
-            alloc[task] = proc
+        alloc = self._edited_alloc(realloc)
         return self._sweep(alloc, self.seq if seq is None else seq, None, None, None)
 
     def apply(self, realloc, seq: list[int] | None = None) -> float:
@@ -516,9 +514,8 @@ class TimedKernel:
         Takes ownership of ``seq``.  Returns the new makespan; on an
         invalid edit it raises and changes nothing.
         """
-        alloc = self.alloc.copy()
-        for task, proc in realloc:
-            alloc[task] = proc
+        realloc = list(realloc)
+        alloc = self._edited_alloc(realloc)
         if seq is None:
             seq = self.seq
         self.makespan = self._sweep(alloc, seq, self.start, self.finish, self.tight)
@@ -531,6 +528,13 @@ class TimedKernel:
                     active[e] = alloc[esrc[e]] != alloc[edst[e]]
         self.num_active = sum(active)
         return self.makespan
+
+    def _edited_alloc(self, realloc) -> list[int]:
+        """A copy of :attr:`alloc` with the ``(task, proc)`` pairs applied."""
+        alloc = self.alloc.copy()
+        for task, proc in realloc:
+            alloc[task] = proc
+        return alloc
 
     def _sweep(self, alloc, seq, start, finish, tight) -> float:
         """Run the backend's point pass (resolved once per kernel)."""

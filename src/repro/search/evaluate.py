@@ -96,8 +96,6 @@ class IncrementalEvaluator:
         self._statics = compile_statics(graph, platform)
         self._point: SearchPoint | None = None
         self._kern: TimedKernel | None = None
-        #: Sequence position per task index (the inverse of ``kern.seq``).
-        self._pos: list[int] = []
         self._makespan = 0.0
         # active obs collector, captured once (None = stats off)
         self._stats = _obs_current()
@@ -125,10 +123,7 @@ class IncrementalEvaluator:
     def _load(self, point: SearchPoint) -> float:
         kern = TimedKernel.from_point(self._statics, point)
         self._makespan = kern.propagate_order()
-        pos = [0] * len(kern.seq)
-        for i, v in enumerate(kern.seq):
-            pos[v] = i
-        self._kern, self._point, self._pos = kern, point, pos
+        self._kern, self._point = kern, point
         return self._makespan
 
     def _node_tuple(self, ix: int) -> Node:
@@ -151,11 +146,11 @@ class IncrementalEvaluator:
         realloc_ix = [(intern(task), proc) for task, proc in realloc]
         seq = None
         if reposition is not None:
+            # kern.seq is point.sequence interned, so point.pos indexes it
             task, before = reposition
-            t = intern(task)
             seq = kern.seq.copy()
-            del seq[self._pos[t]]
-            seq.insert(self._pos[intern(before)], t)
+            del seq[point.pos[task]]
+            seq.insert(point.pos[before], intern(task))
         ms = kern.patch(realloc_ix, seq)
         if self._stats is not None:
             self._stats.inc("search.previews")
@@ -167,13 +162,6 @@ class IncrementalEvaluator:
         if self._stats is not None:
             self._stats.inc("search.commits")
         self._makespan = self._kern.apply(preview._realloc, preview._seq)
-        reposition = preview.edit[1]
-        if reposition is not None:
-            # the splice shifted every task from the new slot of the
-            # moved one up to its old slot by one
-            intern, pos, seq = self._statics.intern, self._pos, preview._seq
-            for i in range(pos[intern(reposition[1])], pos[intern(reposition[0])] + 1):
-                pos[seq[i]] = i
         self._point = preview.point
         return self._makespan
 
