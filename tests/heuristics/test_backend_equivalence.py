@@ -38,6 +38,8 @@ from repro.kernel.backends import (
 from repro.kernel.cext_backend import cext_available
 from repro.models import OnePortModel, RoutedOnePortModel, available_models, make_model
 
+from platforms import OTHER_PLATFORMS
+
 #: The accelerated backend under test, compared against the pure-Python
 #: reference; its rows skip when the extension isn't built.
 needs_cext = pytest.mark.skipif(
@@ -98,27 +100,8 @@ def test_accel_matches_python_for_every_heuristic(
     assert_identical(ref, acc)
 
 
-def _skewed_links(p: int) -> list[list[float]]:
-    """An asymmetric, non-uniform link matrix with non-dyadic costs:
-    ``link(i, j) != link(j, i)`` for most pairs, so every ordered pair's
-    transfer duration differs from the unit network's."""
-    return [
-        [0.0 if i == j else 0.5 + ((3 * i + 7 * j) % 5) * 0.35 for j in range(p)]
-        for i in range(p)
-    ]
-
-
-#: Platform shapes the paper platform (a unit network) leaves out:
-#: per-pair link costs, and three processors under heavy communication,
-#: whose long rows take many mid-row inserts.
-PLATFORMS = {
-    "skewed-links": lambda: Platform([6.0, 10.0, 15.0, 6.0, 10.0], _skewed_links(5)),
-    "contended": lambda: Platform.from_groups([(1, 4), (2, 9)], link=2.5),
-}
-
-
 @pytest.mark.parametrize("backend", ACCEL_BACKENDS)
-@pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
+@pytest.mark.parametrize("platform_name", sorted(OTHER_PLATFORMS))
 @pytest.mark.parametrize("model_name", MODELS)
 @pytest.mark.parametrize("testbed", sorted(TESTBEDS))
 @pytest.mark.parametrize(
@@ -130,7 +113,7 @@ def test_accel_matches_python_on_other_platforms(
 ):
     scheduler = get_scheduler(name, **SCHEDULER_KWARGS.get(name, {}))
     graph = TESTBEDS[testbed]()
-    platform = PLATFORMS[platform_name]()
+    platform = OTHER_PLATFORMS[platform_name]()
     ref = run_on_backend(scheduler, graph, platform, model_name, "python")
     acc = run_on_backend(scheduler, graph, platform, model_name, backend)
     assert ref.state_impl == "flat-python"

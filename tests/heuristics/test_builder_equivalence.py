@@ -47,7 +47,7 @@ from repro.models import (
     UniPortModel,
     make_model,
 )
-from test_backend_equivalence import PLATFORMS as OTHER_PLATFORMS
+from platforms import OTHER_PLATFORMS
 
 TESTBEDS = {
     "lu": lambda: lu_graph(8),

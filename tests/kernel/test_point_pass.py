@@ -31,21 +31,17 @@ from repro.kernel.backends import get_backend, use_backend
 from repro.kernel.cext_backend import cext_available
 from repro.search import IncrementalEvaluator, MoveTask, Reposition, SearchPoint
 
+from platforms import OTHER_PLATFORMS
+
 needs_cext = pytest.mark.skipif(not cext_available(), reason="cext extension not built")
 PASSES = [pytest.param("python"), pytest.param("cext", marks=needs_cext)]
-
-
-def _skewed_links(p: int) -> list[list[float]]:
-    return [[0.0 if i == j else 0.5 + ((3 * i + 7 * j) % 5) * 0.35 for j in range(p)]
-            for i in range(p)]
 
 
 #: The paper platform plus the two non-uniform platforms of the backend
 #: equivalence suite (asymmetric non-dyadic links; three processors).
 PLATFORMS = {
     "paper": lambda: Platform.from_groups([(5, 6), (3, 10), (2, 15)]),
-    "skewed-links": lambda: Platform([6.0, 10.0, 15.0, 6.0, 10.0], _skewed_links(5)),
-    "contended": lambda: Platform.from_groups([(1, 4), (2, 9)], link=2.5),
+    **OTHER_PLATFORMS,
 }
 
 
@@ -306,6 +302,30 @@ def test_bad_edits_leave_the_kernel_unchanged(backend):
         assert kern.patch([]) == before[5]
         assert kern.propagate_order() == before[5]
         assert kernel_state(kern) == before
+
+
+@pytest.mark.parametrize("backend", PASSES)
+def test_apply_reads_a_one_shot_iterable(backend):
+    """``apply`` given a generator of reallocations equals a fresh load
+    of the edited point, active transfer slots included."""
+    graph, platform, statics = instance("layered", "paper")
+    point = points(graph, platform, seed=2)[0]
+    with use_backend(backend):
+        kern = TimedKernel.from_point(statics, point)
+        kern.propagate_order()
+        realloc = [(v, (kern.alloc[v] + 1) % statics.num_procs)
+                   for v in range(0, statics.num_tasks, 3)]
+        ms = kern.apply(pair for pair in realloc)
+        alloc = dict(point.alloc)
+        alloc.update((statics.tasks[v], proc) for v, proc in realloc)
+        fresh = TimedKernel.from_point(statics, point.replace(alloc=alloc))
+        assert fresh.propagate_order() == ms
+    assert (kern.alloc, bytes(kern.active), kern.num_active) == (
+        fresh.alloc, bytes(fresh.active), fresh.num_active)
+    live = fresh.active_nodes()
+    assert kern.active_nodes() == live
+    for times in ("start", "finish", "tight"):
+        assert [getattr(kern, times)[x] for x in live] == [getattr(fresh, times)[x] for x in live]
 
 
 @pytest.mark.parametrize("backend", PASSES)

@@ -21,6 +21,8 @@ from repro.kernel.cext_backend import cext_available
 from repro.search import IncrementalEvaluator, MoveTask, SearchPoint, propose
 from repro.simulate import replay
 
+from platforms import OTHER_PLATFORMS
+
 GRAPHS = {
     "lu": lu_graph(6),
     "fork-join": fork_join_graph(8),
@@ -36,11 +38,7 @@ BACKENDS = [pytest.param("python"), pytest.param("cext", marks=needs_cext)]
 #: The paper platform's unit network, and asymmetric non-dyadic links.
 PLATFORMS = {
     "paper": lambda: Platform.from_groups([(5, 6), (3, 10), (2, 15)]),
-    "skewed-links": lambda: Platform(
-        [6.0, 10.0, 15.0, 6.0, 10.0],
-        [[0.0 if i == j else 0.5 + ((3 * i + 7 * j) % 5) * 0.35 for j in range(5)]
-         for i in range(5)],
-    ),
+    "skewed-links": OTHER_PLATFORMS["skewed-links"],
 }
 
 
@@ -66,32 +64,10 @@ class TestLoad:
 
 
 class TestPreviewCrossCheck:
-    @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_previews_match_full_replay(self, name, paper_platform):
-        """Every previewed move — accepted or not — agrees with a from-
-        scratch replay of the mutated decisions."""
-        graph = GRAPHS[name]
-        evaluator = loaded_evaluator(graph, paper_platform)
-        rng = random.Random(23)
-        checked = 0
-        for _ in range(40):
-            move = propose(evaluator.point, paper_platform, rng)
-            if move is None:
-                continue
-            preview = evaluator.preview(move)
-            full = replay(
-                graph,
-                paper_platform,
-                preview.point.to_decisions(paper_platform.processors),
-            )
-            assert preview.makespan == pytest.approx(full.makespan(), abs=TOL)
-            checked += 1
-        assert checked >= 25
-
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("platform_name", sorted(PLATFORMS))
     @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_every_preview_equals_replay_exactly(self, name, platform_name, backend):
+    def test_previews_match_full_replay(self, name, platform_name, backend):
         """Bit-for-bit: every move of a seeded walk (half of them
         committed) previews to exactly the makespan of a from-scratch
         replay of the moved-to point."""
