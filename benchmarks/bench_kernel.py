@@ -3,9 +3,10 @@
 Standalone script (not a pytest-benchmark module) so CI can run it and
 archive the result::
 
-    python benchmarks/bench_kernel.py --quick --backend all --out BENCH_KERNEL.json
+    python benchmarks/bench_kernel.py --quick --out BENCH_KERNEL.json
 
-Measures, per testbed and kernel backend (``--backend``):
+Measures, per testbed and kernel backend (``python``, plus ``cext``
+when the extension is built):
 
 * **replay** — full :func:`repro.simulate.replay` (kernel-routed: the
   one-shot pass, compiled under ``cext``) vs the retained object-level
@@ -20,9 +21,8 @@ Measures, per testbed and kernel backend (``--backend``):
 
 ``--quick`` trims repetition counts and the testbed list for CI smoke;
 the committed ``BENCH_KERNEL.json`` at the repo root is produced by a
-full ``--backend all`` run on one host (``write_result`` stamps it) and
-seeds the perf trajectory (regenerate and commit alongside kernel
-changes).
+full run on one host (``write_result`` stamps it) and seeds the perf
+trajectory (regenerate and commit alongside kernel changes).
 """
 
 from __future__ import annotations
@@ -120,28 +120,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke: fewer rounds, smaller testbeds")
-    parser.add_argument("--backend", default="all",
-                        choices=["python", "cext", "all"],
-                        help="kernel backend(s) to measure: all = every "
-                             "available backend (default: all)")
     parser.add_argument("--out", default="BENCH_KERNEL.json",
                         help="output JSON path (default: BENCH_KERNEL.json)")
     args = parser.parse_args(argv)
 
-    if args.backend == "all":
-        backends = ["python"]
-        if cext_available():
-            backends.append("cext")
-        else:
-            print("note: cext extension not built; measuring python only "
-                  "(build with: python setup.py build_ext --inplace)")
+    backends = ["python"]
+    if cext_available():
+        backends.append("cext")
     else:
-        backends = [args.backend]
-    if "cext" in backends and not cext_available():
-        print("error: --backend cext requested but the compiled extension "
-              "is not importable; build it with "
-              "'python setup.py build_ext --inplace'", file=sys.stderr)
-        return 2
+        print("note: cext extension not built; measuring python only "
+              "(build with: python setup.py build_ext --inplace)")
 
     plat = paper_platform()
     if args.quick:
