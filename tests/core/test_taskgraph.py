@@ -1,9 +1,14 @@
 """Unit tests for the TaskGraph substrate."""
 
+import random
+
 import networkx as nx
 import pytest
 
 from repro.core import GraphError, TaskGraph
+from repro.core.serialization import graph_to_dict
+from repro.graphs import irregular_dag, layered_random, random_dag
+from repro.graphs.base import available_testbeds, make_testbed
 
 
 def diamond() -> TaskGraph:
@@ -162,6 +167,21 @@ class TestTraversal:
         with pytest.raises(GraphError):
             g.topological_order()
 
+    def test_cycle_message_names_a_task_on_the_cycle(self):
+        g = TaskGraph()
+        for v in ("head", "on-x", "on-y", "on-z", "tail"):
+            g.add_task(v)
+        g.add_dependency("head", "on-x")
+        g.add_dependency("on-x", "on-y")
+        g.add_dependency("on-y", "on-z")
+        g.add_dependency("on-z", "on-x")
+        g.add_dependency("on-z", "tail")
+        with pytest.raises(GraphError) as err:
+            g.validate()
+        message = str(err.value)
+        assert any(repr(v) in message for v in ("on-x", "on-y", "on-z"))
+        assert repr("head") not in message and repr("tail") not in message
+
     def test_levels(self):
         g = diamond()
         assert g.levels() == [["a"], ["b", "c"], ["d"]]
@@ -182,6 +202,57 @@ class TestTraversal:
         _ = g.as_maps()
         g.add_task("e", 5.0)
         assert "e" in g.as_maps().weight
+
+
+_RANDOM_FAMILIES = {
+    "random_dag": lambda size: random_dag(size, seed=size),
+    "layered_random": lambda size: layered_random(size, 5, seed=size),
+    "irregular_dag": lambda size: irregular_dag(size, seed=size),
+}
+
+
+class TestNetworkxOrderOracle:
+    """Every iteration order equals the one networkx gives the same add calls.
+
+    Schedules, kernel edge indices and serialized graphs all follow these
+    orders, so the frozen digests rest on them.  Edges are added in a
+    shuffled global order, so that order differs from the adjacency order
+    (by source insertion, then by edge insertion within each source).
+    """
+
+    @staticmethod
+    def twins(graph: TaskGraph, seed: int) -> tuple[TaskGraph, nx.DiGraph]:
+        edges = list(graph.edges())
+        random.Random(seed).shuffle(edges)
+        ours, theirs = TaskGraph(name=graph.name), nx.DiGraph()
+        for v in graph.tasks():
+            ours.add_task(v, graph.weight(v))
+            theirs.add_node(v, weight=graph.weight(v))
+        for u, v in edges:
+            ours.add_dependency(u, v, graph.data(u, v))
+            theirs.add_edge(u, v, data=graph.data(u, v))
+        return ours, theirs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("size", [6, 20])
+    @pytest.mark.parametrize("family", available_testbeds() + sorted(_RANDOM_FAMILIES))
+    def test_orders_match_networkx(self, family, size, seed):
+        build = _RANDOM_FAMILIES.get(family) or (lambda size: make_testbed(family, size))
+        ours, theirs = self.twins(build(size), seed)
+        index = {v: i for i, v in enumerate(theirs.nodes)}
+        assert ours.topological_order() == tuple(
+            nx.lexicographical_topological_sort(theirs, key=index.__getitem__)
+        )
+        assert list(ours.edges()) == list(theirs.edges)
+        maps = ours.as_maps()
+        assert list(maps.data) == list(theirs.edges)
+        for v in theirs.nodes:
+            assert ours.predecessors(v) == list(theirs.predecessors(v))
+            assert ours.successors(v) == list(theirs.successors(v))
+            assert maps.preds[v] == tuple(theirs.predecessors(v))
+            assert maps.succs[v] == tuple(theirs.successors(v))
+        again = TaskGraph(ours.to_networkx(), name=ours.name)
+        assert graph_to_dict(again) == graph_to_dict(ours)
 
 
 class TestSerialization:
