@@ -65,9 +65,11 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "networkx"],
+    install_requires=["numpy"],
     extras_require={
-        "test": ["pytest", "hypothesis"],
+        # networkx is only the order oracle of the graph tests and the
+        # optional TaskGraph.to_networkx() interop
+        "test": ["pytest", "hypothesis", "networkx"],
     },
     ext_modules=[
         Extension(

@@ -81,8 +81,8 @@ class Platform:
 
         if isinstance(link, (int, float)):
             scalar = float(link)
-            if scalar < 0:
-                raise PlatformError(f"link cost must be >= 0, got {scalar}")
+            if not scalar >= 0:  # NaN fails: it would read as a missing link
+                raise PlatformError(f"link cost must be >= 0 or inf, got {scalar}")
             mat = np.full((self._p, self._p), scalar, dtype=float)
             np.fill_diagonal(mat, 0.0)
         else:
@@ -93,8 +93,8 @@ class Platform:
                 )
             if np.any(np.diagonal(mat) != 0.0):
                 raise PlatformError("link matrix diagonal must be zero")
-            if np.any(mat < 0):
-                raise PlatformError("link matrix entries must be >= 0")
+            if not np.all(mat >= 0):
+                raise PlatformError("link matrix entries must be >= 0 or inf, not negative or NaN")
         mat.setflags(write=False)
         self._link = mat
         # Immutable mirror of the link matrix: hot loops (kernel replay,

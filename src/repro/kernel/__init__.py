@@ -13,8 +13,9 @@ integer-indexed arrays once and lets every layer share that compilation.
 Layout
 ------
 * **Interning** (:class:`KernelStatics`): task ids map to ``0 .. n-1``
-  in graph insertion order, graph edges to ``0 .. E-1`` in edge
-  insertion order.  Adjacency is CSR — ``pred_ptr[v] : pred_ptr[v+1]``
+  in graph insertion order, graph edges to ``0 .. E-1`` in
+  :meth:`TaskGraph.edges` order — by source task, then by edge
+  insertion within each source.  Adjacency is CSR — ``pred_ptr[v] : pred_ptr[v+1]``
   slices ``pred_eix``, an array of *edge indices*, so one hop reaches
   both the neighbor (``esrc[e]``) and the edge volume (``edata[e]``).
   Cost tables are contiguous: the ``n x p`` execution-time table

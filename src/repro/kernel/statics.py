@@ -7,9 +7,10 @@ structures:
 * **task interning** — task ids map to ``0 .. n-1`` in graph insertion
   order (the same order as :meth:`TaskGraph.task_index`), with the
   inverse in :attr:`tasks`;
-* **edge interning** — graph edges map to ``0 .. E-1`` in edge insertion
-  order, with int endpoints in :attr:`esrc` / :attr:`edst` and volumes
-  in :attr:`edata`;
+* **edge interning** — graph edges map to ``0 .. E-1`` in
+  :meth:`TaskGraph.edges` order (by source task, then by edge insertion
+  within each source), with int endpoints in :attr:`esrc` /
+  :attr:`edst` and volumes in :attr:`edata`;
 * **CSR adjacency** — :attr:`pred_ptr` / :attr:`pred_eix` (and the
   ``succ_*`` mirror) store, for each task, the *edge indices* of its
   incoming (outgoing) edges contiguously, so one index hop reaches both
@@ -97,7 +98,7 @@ class KernelStatics:
         self.num_tasks = n
         self.weights: list[float] = [maps.weight[v] for v in self.tasks]
 
-        # -- edge interning (edge insertion order) ----------------------
+        # -- edge interning (by source, then edge insertion) -------------
         self.edges: list[tuple[TaskId, TaskId]] = list(maps.data)
         self.eindex: dict[tuple[TaskId, TaskId], int] = {
             e: i for i, e in enumerate(self.edges)
@@ -213,14 +214,6 @@ class KernelStatics:
         if not math.isfinite(cost):
             raise PlatformError(f"no direct link from P{src_proc} to P{dst_proc}")
         return self.edata[e] * cost
-
-    def pred_edges(self, ti: int) -> list[int]:
-        """Edge indices entering task ``ti``."""
-        return self.pred_eix[self.pred_ptr[ti] : self.pred_ptr[ti + 1]]
-
-    def succ_edges(self, ti: int) -> list[int]:
-        """Edge indices leaving task ``ti``."""
-        return self.succ_eix[self.succ_ptr[ti] : self.succ_ptr[ti + 1]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -22,9 +22,8 @@ one joint window per route link.
 
 from __future__ import annotations
 
+import heapq
 import math
-
-import networkx as nx
 
 from ..core.exceptions import PlatformError
 from ..core.platform import Platform
@@ -41,27 +40,20 @@ def build_routing_table(platform: Platform) -> dict[tuple[int, int], list[int]]:
     :class:`~repro.core.exceptions.PlatformError` if some pair is
     unreachable.
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(platform.processors)
-    for q in platform.processors:
-        for r in platform.processors:
-            if q != r and math.isfinite(platform.link_matrix[q, r]):
-                g.add_edge(q, r, cost=float(platform.link_matrix[q, r]))
-
+    links = platform.link_rows()
     table: dict[tuple[int, int], list[int]] = {}
     for src in platform.processors:
         # Dijkstra with deterministic tie-breaking on (cost, hops, path).
         paths: dict[int, tuple[float, int, list[int]]] = {src: (0.0, 0, [src])}
         frontier = [(0.0, 0, [src], src)]
-        import heapq
-
         while frontier:
             cost, hops, path, node = heapq.heappop(frontier)
             if paths.get(node, (math.inf,))[0] < cost:
                 continue
-            for nxt in sorted(g.successors(node)):
-                ncost = cost + g.edges[node, nxt]["cost"]
-                cand = (ncost, hops + 1, path + [nxt])
+            for nxt, link in enumerate(links[node]):
+                if nxt == node or not math.isfinite(link):
+                    continue
+                cand = (cost + link, hops + 1, path + [nxt])
                 if nxt not in paths or cand < paths[nxt]:
                     paths[nxt] = cand
                     heapq.heappush(frontier, (*cand, nxt))

@@ -129,6 +129,12 @@ class TestQueries:
         with pytest.raises(GraphError):
             g.predecessors("ghost")
         with pytest.raises(GraphError):
+            g.successors("ghost")
+        with pytest.raises(GraphError):
+            g.in_degree("ghost")
+        with pytest.raises(GraphError):
+            g.out_degree("ghost")
+        with pytest.raises(GraphError):
             g.data("a", "d")
 
     def test_set_weight_and_data(self):
@@ -143,6 +149,19 @@ class TestQueries:
         g.scale_data(0.5)
         assert g.data("a", "b") == 5.0
         assert g.total_data() == 50.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_mutators_reject_what_constructors_reject(self, bad):
+        g = diamond()
+        g.add_dependency("b", "c", 0.0)
+        before = graph_to_dict(g)
+        with pytest.raises(GraphError):
+            g.set_weight("a", bad)
+        with pytest.raises(GraphError):
+            g.set_data("a", "b", bad)
+        with pytest.raises(GraphError):
+            g.scale_data(bad)
+        assert graph_to_dict(g) == before
 
 
 class TestTraversal:
@@ -176,11 +195,12 @@ class TestTraversal:
         g.add_dependency("on-y", "on-z")
         g.add_dependency("on-z", "on-x")
         g.add_dependency("on-z", "tail")
-        with pytest.raises(GraphError) as err:
-            g.validate()
-        message = str(err.value)
-        assert any(repr(v) in message for v in ("on-x", "on-y", "on-z"))
-        assert repr("head") not in message and repr("tail") not in message
+        for check in (g.validate, g.topological_order):
+            with pytest.raises(GraphError) as err:
+                check()
+            message = str(err.value)
+            assert any(repr(v) in message for v in ("on-x", "on-y", "on-z"))
+            assert repr("head") not in message and repr("tail") not in message
 
     def test_levels(self):
         g = diamond()
