@@ -94,7 +94,7 @@ class Platform:
             if np.any(np.diagonal(mat) != 0.0):
                 raise PlatformError("link matrix diagonal must be zero")
             if not np.all(mat >= 0):
-                raise PlatformError("link matrix entries must be >= 0 or inf, not negative or NaN")
+                raise PlatformError("link matrix entries must be >= 0 or inf, not NaN")
         mat.setflags(write=False)
         self._link = mat
         # Immutable mirror of the link matrix: hot loops (kernel replay,

@@ -15,9 +15,10 @@ Layout
 * **Interning** (:class:`KernelStatics`): task ids map to ``0 .. n-1``
   in graph insertion order, graph edges to ``0 .. E-1`` in
   :meth:`TaskGraph.edges` order — by source task, then by edge
-  insertion within each source.  Adjacency is CSR — ``pred_ptr[v] : pred_ptr[v+1]``
-  slices ``pred_eix``, an array of *edge indices*, so one hop reaches
-  both the neighbor (``esrc[e]``) and the edge volume (``edata[e]``).
+  insertion within each source.  Adjacency is CSR —
+  ``pred_ptr[v] : pred_ptr[v+1]`` slices ``pred_eix``, an array of
+  *edge indices*, so one hop reaches both the neighbor (``esrc[e]``)
+  and the edge volume (``edata[e]``).
   Cost tables are contiguous: the ``n x p`` execution-time table
   ``exec_`` and the ``p x p`` plain-list link matrix ``link_rows``.
   Statics are cached per (graph, platform) on the graph itself and

@@ -1,7 +1,7 @@
 """The runtime needs only numpy: networkx is a test and interop extra.
 
-A fresh interpreter blocks ``import networkx`` and then imports every
-module of the package and drives the main paths end to end: one-port
+A fresh interpreter blocks ``import networkx``, imports every
+subpackage and the CLI, and drives the main paths end to end: one-port
 HEFT and its replay, routed HEFT on a sparse ring, and a short iterated
 local search.  Only :meth:`TaskGraph.to_networkx` may need networkx.
 """
@@ -22,8 +22,8 @@ sys.modules["networkx"] = None  # every `import networkx` now raises ImportError
 
 import repro
 import repro.cli
-for info in pkgutil.walk_packages(repro.__path__, "repro."):
-    if info.name != "repro.__main__":
+for info in pkgutil.iter_modules(repro.__path__, "repro."):
+    if info.ispkg:
         importlib.import_module(info.name)
 
 from repro import Platform
