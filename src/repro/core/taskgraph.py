@@ -301,15 +301,13 @@ class TaskGraph:
         Each such task has a predecessor among them, so walking
         predecessors from the first one must revisit a task.
         """
-        stuck = [v for v, d in zip(self._weight, indeg) if d]
-        inside = set(stuck)
-        walk: dict[TaskId, None] = {}
-        v = stuck[0]
+        stuck = {v for v, d in zip(self._weight, indeg) if d}
+        walk: dict[TaskId, int] = {}
+        v = next(v for v in self._weight if v in stuck)
         while v not in walk:
-            walk[v] = None
-            v = next(p for p in self._pred[v] if p in inside)
-        path = list(walk)
-        cycle = path[path.index(v):][::-1]
+            walk[v] = len(walk)
+            v = next(p for p in self._pred[v] if p in stuck)
+        cycle = list(walk)[walk[v]:][::-1]
         return " -> ".join(map(repr, cycle + cycle[:1]))
 
     def task_index(self) -> Mapping[TaskId, int]:
