@@ -98,7 +98,7 @@ class KernelStatics:
         self.num_tasks = n
         self.weights: list[float] = [maps.weight[v] for v in self.tasks]
 
-        # -- edge interning (by source, then edge insertion) -------------
+        # -- edge interning (by source, then edge insertion) -----------
         self.edges: list[tuple[TaskId, TaskId]] = list(maps.data)
         self.eindex: dict[tuple[TaskId, TaskId], int] = {
             e: i for i, e in enumerate(self.edges)

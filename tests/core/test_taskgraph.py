@@ -257,8 +257,11 @@ class TestNetworkxOrderOracle:
     @pytest.mark.parametrize("size", [6, 20])
     @pytest.mark.parametrize("family", available_testbeds() + sorted(_RANDOM_FAMILIES))
     def test_orders_match_networkx(self, family, size, seed):
-        build = _RANDOM_FAMILIES.get(family) or (lambda size: make_testbed(family, size))
-        ours, theirs = self.twins(build(size), seed)
+        if family in _RANDOM_FAMILIES:
+            graph = _RANDOM_FAMILIES[family](size)
+        else:
+            graph = make_testbed(family, size)
+        ours, theirs = self.twins(graph, seed)
         index = {v: i for i, v in enumerate(theirs.nodes)}
         assert ours.topological_order() == tuple(
             nx.lexicographical_topological_sort(theirs, key=index.__getitem__)
