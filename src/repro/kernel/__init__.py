@@ -45,8 +45,9 @@ Layout
 * **Backends** (:mod:`repro.kernel.backends`): two tiers with
   bit-identical results — ``python``, the reference above, and
   ``cext``, the compiled engine of :mod:`repro.kernel.cext_backend`
-  (construction, the one-shot pass and the point sweep), which falls
-  back to ``python`` when the extension is not built.
+  (construction, the one-shot pass, the point sweep and replay's
+  output records), which falls back to ``python`` when the extension
+  is not built.
 
 Who routes through the kernel
 -----------------------------

@@ -11,7 +11,8 @@
  * kernel's two passes from kernel/timed.py: the one-shot forward pass
  * (TimedKernel.propagate_kahn, behind replay, plan install and online
  * re-prediction) and the point sweep (TimedKernel._point_loop, behind
- * the search evaluator's loads, previews and commits).
+ * the search evaluator's loads, previews and commits); plus records(),
+ * which builds replay's output tuples.
  *
  * Bit-identity contract: every float computation below performs the
  * SAME IEEE-754 double operations in the SAME order as the Python
@@ -2518,6 +2519,84 @@ static PyTypeObject OneShot_Type = {
 };
 
 /* ------------------------------------------------------------------ */
+/* records: schedule output tuples                                    */
+/* ------------------------------------------------------------------ */
+
+/* A field the cyclic collector could reach a cycle through: CPython's
+ * own test when it untracks a tuple (_PyObject_GC_MAY_BE_TRACKED). */
+static inline int
+may_be_tracked(PyObject *x)
+{
+    return PyObject_IS_GC(x) && (!PyTuple_CheckExact(x) || PyObject_GC_IsTracked(x));
+}
+
+/* records(cls, rows) == [tuple.__new__(cls, row) for row in rows] for a
+ * tuple subclass without instance slots (TaskPlacement, CommEvent) and
+ * tuple rows.  A record none of whose fields may be tracked (task ids,
+ * processor indices, times) can never be on a reference cycle, so it is
+ * left untracked — what CPython does for a plain tuple at its first
+ * collection but never for a subclass.  Tracked, each record alive at a
+ * generation-1 collection is promoted and counts toward the next full
+ * collection; replay builds thousands of them per call. */
+static PyObject *
+cext_records(PyObject *Py_UNUSED(mod), PyObject *args)
+{
+    PyTypeObject *cls;
+    PyObject *rows;
+    if (!PyArg_ParseTuple(args, "O!O:records", &PyType_Type, &cls, &rows))
+        return NULL;
+    if (!PyType_IsSubtype(cls, &PyTuple_Type) ||
+        cls->tp_basicsize != PyTuple_Type.tp_basicsize || cls->tp_dictoffset != 0) {
+        PyErr_Format(PyExc_TypeError,
+                     "records: %s is not a tuple subclass without instance slots",
+                     cls->tp_name);
+        return NULL;
+    }
+    PyObject *out = PyList_New(0);
+    PyObject *it = out ? PyObject_GetIter(rows) : NULL;
+    if (it == NULL) {
+        Py_XDECREF(out);
+        return NULL;
+    }
+    PyObject *row;
+    while ((row = PyIter_Next(it)) != NULL) {
+        if (!PyTuple_CheckExact(row)) {
+            PyErr_Format(PyExc_TypeError, "records: row must be a tuple, not %s",
+                         Py_TYPE(row)->tp_name);
+            Py_DECREF(row);
+            break;
+        }
+        Py_ssize_t n = PyTuple_GET_SIZE(row);
+        PyObject *rec = cls->tp_alloc(cls, n);
+        if (rec == NULL) {
+            Py_DECREF(row);
+            break;
+        }
+        int leaf = 1;
+        for (Py_ssize_t k = 0; k < n; k++) {
+            PyObject *x = PyTuple_GET_ITEM(row, k);
+            Py_INCREF(x);
+            PyTuple_SET_ITEM(rec, k, x);
+            if (leaf && may_be_tracked(x))
+                leaf = 0;
+        }
+        Py_DECREF(row);
+        if (leaf)
+            PyObject_GC_UnTrack(rec);
+        int rc = PyList_Append(out, rec);
+        Py_DECREF(rec);
+        if (rc < 0)
+            break;
+    }
+    Py_DECREF(it);
+    if (PyErr_Occurred()) {
+        Py_DECREF(out);
+        return NULL;
+    }
+    return out;
+}
+
+/* ------------------------------------------------------------------ */
 /* module                                                             */
 /* ------------------------------------------------------------------ */
 
@@ -2559,6 +2638,9 @@ static PyMethodDef cext_methods[] = {
      "Install the repro exception types used by the engine."},
     {"build_info", cext_build_info, METH_NOARGS,
      "Compiler / build provenance of this extension."},
+    {"records", cext_records, METH_VARARGS,
+     "records(cls, rows): tuple.__new__(cls, row) per row; all-atomic "
+     "records are left untracked by the cyclic collector."},
     {NULL}
 };
 

@@ -50,7 +50,8 @@ class KernelBackend:
     point-form kernel resolves at its first sweep.  ``None`` from any
     of them means the pure-Python reference.  Classes are resolved
     lazily so registering a backend never imports the heuristics layer
-    at module-load time.
+    at module-load time.  ``records(cls, rows)`` builds replay's output
+    records.
     """
 
     name = ""
@@ -63,6 +64,12 @@ class KernelBackend:
 
     def point_pass(self, statics):
         return None
+
+    def records(self, cls, rows) -> list:
+        """``[tuple.__new__(cls, row) for row in rows]``: NamedTuple
+        records without the keyword machinery of ``cls(...)``."""
+        new = tuple.__new__
+        return [new(cls, row) for row in rows]
 
 
 _REGISTRY: dict[str, KernelBackend] = {}

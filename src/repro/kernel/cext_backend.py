@@ -10,7 +10,8 @@ bookers of the four flat models, and the all-processor candidate sweep
 the one-shot forward pass (``OneShot``: the packed constraint DAG of
 one ``TimedKernel``, behind replay, plan install and online
 re-prediction) and the point sweep (``Statics.point_pass``, behind
-every load, preview and commit of the search evaluator).
+every load, preview and commit of the search evaluator); and
+``records``, which builds replay's output tuples.
 See ``_cextmodule.c``; its header states the bit-identity contract with
 the pure-Python reference.
 
@@ -157,3 +158,11 @@ class CextBackend(KernelBackend):
             _warn_fallback()
             return None
         return engine_statics(statics).point_pass
+
+    def records(self, cls, rows) -> list:
+        """``_cext.records``: the same records, built in C, and left
+        untracked by the cyclic collector when every field is atomic."""
+        if _cext is None:
+            _warn_fallback()
+            return super().records(cls, rows)
+        return _cext.records(cls, rows)

@@ -51,7 +51,7 @@ from ..core.platform import Platform
 from ..core.schedule import CommEvent, Schedule, TaskPlacement
 from ..core.taskgraph import TaskGraph
 from ..core.tolerance import time_tol
-from ..kernel import TimedKernel, compile_statics
+from ..kernel import TimedKernel, compile_statics, current_backend
 from ..kernel.timed import KernelIneligible
 
 TaskId = Hashable
@@ -135,17 +135,16 @@ def replay(
     n = statics.num_tasks
     start, finish = kern.start, kern.finish
     edata = statics.edata
-    # tuple.__new__ skips the NamedTuple keyword machinery; this loop
-    # builds the entire output schedule and dominates the replay profile
-    new = tuple.__new__
-    out.comm_events = [
-        new(CommEvent, (key[0], key[1], a, b, start[n + e], finish[n + e], edata[e], 0))
+    # the output records are the bulk of a replay: the backend builds
+    # them (see KernelBackend.records)
+    records = current_backend().records
+    out.comm_events = records(CommEvent, (
+        (key[0], key[1], a, b, start[n + e], finish[n + e], edata[e], 0)
         for e, (key, (a, b)) in zip(kern.hop_list, decisions.hops.items())
-    ]
-    out.placements = {
-        v: new(TaskPlacement, (v, p, s, f))
-        for v, p, s, f in zip(statics.tasks, kern.alloc, start, finish)
-    }
+    ))
+    tasks = statics.tasks
+    placed = records(TaskPlacement, zip(tasks, kern.alloc, start, finish))
+    out.placements = dict(zip(tasks, placed))
     return out
 
 
