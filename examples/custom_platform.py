@@ -15,8 +15,6 @@ Run:  python examples/custom_platform.py
 
 import math
 
-import numpy as np
-
 from repro import (FixedAllocation, HEFT, Platform, RoutedOnePortModel, TaskGraph,
                    validate_schedule)
 from repro.graphs import laplace_graph
@@ -25,11 +23,10 @@ from repro.models import build_routing_table
 
 def ring_platform(p: int, cycle_time: float = 1.0, link: float = 1.0) -> Platform:
     """A bidirectional ring: finite links only between neighbours."""
-    mat = np.full((p, p), math.inf)
-    np.fill_diagonal(mat, 0.0)
-    for i in range(p):
-        mat[i][(i + 1) % p] = link
-        mat[(i + 1) % p][i] = link
+    mat = [
+        [0.0 if q == r else link if (q - r) % p in (1, p - 1) else math.inf for r in range(p)]
+        for q in range(p)
+    ]
     return Platform([cycle_time] * p, mat)
 
 

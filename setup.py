@@ -65,11 +65,12 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=[],
     extras_require={
-        # networkx is only the order oracle of the graph tests and the
-        # optional TaskGraph.to_networkx() interop
-        "test": ["pytest", "hypothesis", "networkx"],
+        # numpy and networkx are only the tests' oracles and the
+        # on-demand interop: Platform.link_matrix, analysis.comm_matrix
+        # and TaskGraph.to_networkx() import them when called
+        "test": ["pytest", "hypothesis", "numpy", "networkx"],
     },
     ext_modules=[
         Extension(

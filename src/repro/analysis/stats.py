@@ -9,8 +9,7 @@ goal) — exposed as plain dictionaries for reports and tests.
 from __future__ import annotations
 
 from collections.abc import Iterable
-
-import numpy as np
+from typing import Any
 
 from ..core.schedule import Schedule
 
@@ -59,8 +58,13 @@ def port_busy_times(schedule: Schedule) -> dict[int, dict[str, float]]:
     return out
 
 
-def comm_matrix(schedule: Schedule) -> np.ndarray:
-    """``p x p`` matrix of total transfer time between processor pairs."""
+def comm_matrix(schedule: Schedule) -> Any:
+    """``p x p`` ndarray of total transfer time between processor pairs.
+
+    NumPy is imported here, so only callers of this function need it.
+    """
+    import numpy as np
+
     p = schedule.platform.num_processors
     mat = np.zeros((p, p))
     for e in schedule.comm_events:

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-
-import numpy as np
+from typing import Any
 
 from .exceptions import PlatformError
 
@@ -39,6 +38,37 @@ def _lcm_of(values: Iterable[int]) -> int:
     for v in values:
         out = math.lcm(out, v)
     return out
+
+
+def _pairwise_sum(vals: list[float]) -> float:
+    """Sum ``vals`` in the order of NumPy's pairwise summation.
+
+    Below 8 values: one running sum from 0.0.  Up to 128: eight lane
+    sums over the indices congruent to ``j`` mod 8 of the largest
+    multiple-of-8 prefix, combined as a balanced tree, then the rest in
+    order.  Above 128: split at ``n // 2`` rounded down to a multiple
+    of 8, sum each half the same way, and add the two.  Built-in
+    ``sum()`` is no substitute: it compensates its rounding from Python
+    3.12 on.
+    """
+    n = len(vals)
+    if n < 8:
+        res = 0.0
+        for x in vals:
+            res += x
+        return res
+    if n <= 128:
+        r = vals[:8]
+        m = n - n % 8
+        for i in range(8, m):
+            r[i & 7] += vals[i]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(m, n):
+            res += vals[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(vals[:half]) + _pairwise_sum(vals[half:])
 
 
 class Platform:
@@ -59,15 +89,15 @@ class Platform:
     Notes
     -----
     Instances are immutable — and the immutability is *enforced*:
-    attribute assignment raises after construction, the link matrix is
-    a read-only ndarray, and :meth:`link_rows` returns immutable
-    tuples.  Compiled statics (:mod:`repro.kernel.statics`) and flat
-    kernels hold direct references to these tables, so a mutable
-    platform would silently poison every schedule built after the
-    mutation; mutating experiments must build new platforms.
+    attribute assignment raises after construction, and the one link
+    table, :meth:`link_rows`, is nested tuples.  Compiled statics
+    (:mod:`repro.kernel.statics`) and flat kernels hold direct
+    references to these tables, so a mutable platform would silently
+    poison every schedule built after the mutation; mutating
+    experiments must build new platforms.
     """
 
-    __slots__ = ("_cycle_times", "_link", "_link_rows", "_p", "_frozen")
+    __slots__ = ("_cycle_times", "_link_rows", "_p", "_frozen")
 
     def __init__(self, cycle_times: Sequence[float], link: float | Sequence[Sequence[float]] = 1.0):
         cts = tuple(float(t) for t in cycle_times)
@@ -77,33 +107,28 @@ class Platform:
             if not (t > 0) or t == float("inf"):
                 raise PlatformError(f"processor {i}: cycle time must be finite and > 0, got {t}")
         self._cycle_times = cts
-        self._p = len(cts)
+        p = self._p = len(cts)
 
         if isinstance(link, (int, float)):
             scalar = float(link)
             if not scalar >= 0:  # NaN fails: it would read as a missing link
                 raise PlatformError(f"link cost must be >= 0 or inf, got {scalar}")
-            mat = np.full((self._p, self._p), scalar, dtype=float)
-            np.fill_diagonal(mat, 0.0)
+            rows = tuple(tuple(0.0 if q == r else scalar for r in range(p)) for q in range(p))
         else:
-            mat = np.asarray(link, dtype=float)
-            if mat.shape != (self._p, self._p):
-                raise PlatformError(
-                    f"link matrix must be {self._p}x{self._p}, got shape {mat.shape}"
-                )
-            if np.any(np.diagonal(mat) != 0.0):
+            try:
+                rows = tuple(tuple(float(x) for x in row) for row in link)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise PlatformError(f"link matrix must be {p}x{p} numbers ({exc})") from None
+            if len(rows) != p or any(len(row) != p for row in rows):
+                lengths = [len(row) for row in rows]
+                raise PlatformError(f"link matrix must be {p}x{p}, got row lengths {lengths}")
+            if any(rows[q][q] != 0.0 for q in range(p)):
                 raise PlatformError("link matrix diagonal must be zero")
-            if not np.all(mat >= 0):
+            if not all(x >= 0 for row in rows for x in row):
                 raise PlatformError("link matrix entries must be >= 0 or inf, not NaN")
-        mat.setflags(write=False)
-        self._link = mat
-        # Immutable mirror of the link matrix: hot loops (kernel replay,
-        # one-port trial bookings) index it without numpy scalar boxing,
-        # and compiled statics share the reference — tuples make any
-        # attempted in-place mutation an immediate TypeError.
-        self._link_rows: tuple[tuple[float, ...], ...] = tuple(
-            tuple(float(x) for x in row) for row in mat
-        )
+        # Tuples, because compiled statics share this reference: any
+        # attempted in-place mutation is an immediate TypeError.
+        self._link_rows: tuple[tuple[float, ...], ...] = rows
         self._frozen = True
 
     def __setattr__(self, name: str, value) -> None:
@@ -144,9 +169,16 @@ class Platform:
         return 1.0 / self.cycle_time(proc)
 
     @property
-    def link_matrix(self) -> np.ndarray:
-        """Read-only ``p x p`` matrix of per-item transfer times."""
-        return self._link
+    def link_matrix(self) -> Any:
+        """A new read-only ``p x p`` ndarray of :meth:`link_rows`.
+
+        NumPy is imported here, so only callers of this property need it.
+        """
+        import numpy as np
+
+        mat = np.array(self._link_rows, dtype=float)
+        mat.setflags(write=False)
+        return mat
 
     def link(self, src: ProcId, dst: ProcId) -> float:
         """Per-item transfer time from ``src`` to ``dst`` (0 when equal)."""
@@ -160,12 +192,11 @@ class Platform:
 
     def has_link(self, src: ProcId, dst: ProcId) -> bool:
         """Whether a direct (finite-cost) link exists from ``src`` to ``dst``."""
-        return src == dst or math.isfinite(self._link[src, dst])
+        return math.isfinite(self.link(src, dst))
 
     def is_fully_connected(self) -> bool:
         """True when every processor pair has a direct finite link."""
-        off = ~np.eye(self._p, dtype=bool)
-        return bool(np.all(np.isfinite(self._link[off])))
+        return all(math.isfinite(x) for row in self._link_rows for x in row)
 
     def _check_proc(self, proc: ProcId) -> None:
         if not (0 <= proc < self._p):
@@ -223,17 +254,22 @@ class Platform:
         mean" of the link bandwidths.  With bandwidth ``b = 1/link``, the
         harmonic mean of the bandwidths over the ``p(p-1)`` ordered pairs
         is ``p(p-1) / sum(link)``... inverted, this is the arithmetic mean
-        of the ``link`` entries.  For a single processor there are no
-        links and the average is 0.
+        of the ``link`` entries.  Missing (``inf``) links are left out;
+        with no finite link (a single processor, say) the average is 0.
+
+        The float is NumPy's ``mean`` of those entries, bit for bit: a
+        pairwise sum in row-major order, added to the reduction's
+        identity 0.0 (which turns a ``-0.0`` sum into ``0.0``).
         """
-        if self._p == 1:
+        vals = [
+            x
+            for q, row in enumerate(self._link_rows)
+            for r, x in enumerate(row)
+            if q != r and math.isfinite(x)
+        ]
+        if not vals:
             return 0.0
-        off = ~np.eye(self._p, dtype=bool)
-        vals = self._link[off]
-        finite = vals[np.isfinite(vals)]
-        if finite.size == 0:
-            return 0.0
-        return float(np.mean(finite))
+        return (0.0 + _pairwise_sum(vals)) / len(vals)
 
     def fastest_processor(self) -> ProcId:
         """Index of a processor with the minimal cycle time (lowest index wins)."""

@@ -90,22 +90,14 @@ def platform_to_dict(platform: Platform) -> dict:
     otherwise the full matrix is stored (``inf`` entries as the string
     ``"inf"`` since JSON has no infinity).
     """
-    mat = platform.link_matrix
-    off = [
-        mat[q][r]
-        for q in platform.processors
-        for r in platform.processors
-        if q != r
-    ]
+    rows = platform.link_rows()
+    off = [x for q, row in enumerate(rows) for r, x in enumerate(row) if q != r]
     if off and all(x == off[0] and math.isfinite(x) for x in off):
-        link = float(off[0])
+        link = off[0]
     elif not off:
         link = 1.0
     else:
-        link = [
-            [("inf" if not math.isfinite(x) else float(x)) for x in row]
-            for row in mat.tolist()
-        ]
+        link = [[("inf" if not math.isfinite(x) else x) for x in row] for row in rows]
     return {"cycle_times": list(platform.cycle_times), "link": link}
 
 

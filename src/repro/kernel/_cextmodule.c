@@ -2078,64 +2078,6 @@ Engine_fingerprint(EngineObject *eg, PyObject *Py_UNUSED(ignored))
     return out;
 }
 
-static PyObject *
-Engine_placement(EngineObject *eg, PyObject *args)
-{
-    Py_ssize_t ti;
-    if (!PyArg_ParseTuple(args, "n:placement", &ti))
-        return NULL;
-    if (check_ti(eg, ti) < 0)
-        return NULL;
-    if (eg->proc_a[ti] < 0)
-        Py_RETURN_NONE;
-    return Py_BuildValue("(ndd)", eg->proc_a[ti], eg->start_a[ti],
-                         eg->finish_a[ti]);
-}
-
-static PyObject *
-Engine_parents(EngineObject *eg, PyObject *args)
-{
-    Py_ssize_t ti;
-    if (!PyArg_ParseTuple(args, "n:parents", &ti))
-        return NULL;
-    if (check_ti(eg, ti) < 0)
-        return NULL;
-    Py_ssize_t np_ = resolve_parents(eg, ti);
-    if (np_ < 0)
-        return NULL;
-    PyObject *out = PyList_New(np_);
-    if (out == NULL)
-        return NULL;
-    for (Py_ssize_t k = 0; k < np_; k++) {
-        PyObject *t = Py_BuildValue("(dnnn)", eg->par[k].fin, eg->par[k].pi,
-                                    eg->par[k].e, eg->par[k].pp);
-        if (t == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, k, t);
-    }
-    return out;
-}
-
-/* cumulative obs counters, keyed by catalog metric name; the wrapper
- * drains deltas into the active Stats collector */
-static PyObject *
-Engine_counters(EngineObject *eg, PyObject *Py_UNUSED(ignored))
-{
-    return Py_BuildValue(
-        "{s:L,s:L,s:L,s:L,s:L,s:L,s:L,s:L,s:L}",
-        "builder.candidates", eg->c_candidates,
-        "builder.prune.maxpf", eg->c_prune_maxpf,
-        "builder.prune.frontier", eg->c_prune_frontier,
-        "builder.prune.abort", eg->c_prune_abort,
-        "oneport.seed.hit", eg->c_seed_hit,
-        "oneport.seed.miss", eg->c_seed_miss,
-        "builder.commits", eg->c_commits,
-        "builder.rollbacks", eg->c_rollbacks,
-        "builder.rollback_entries", eg->c_rollback_entries);
-}
-
 /* catalog names for drain_counters, matching the struct field order */
 static const char *const counter_names[9] = {
     "builder.candidates", "builder.prune.maxpf", "builder.prune.frontier",
@@ -2191,9 +2133,6 @@ static PyMethodDef Engine_methods[] = {
     {"next_fit", (PyCFunction)Engine_next_fit, METH_VARARGS, NULL},
     {"book", (PyCFunction)Engine_book, METH_VARARGS, NULL},
     {"fingerprint", (PyCFunction)Engine_fingerprint, METH_NOARGS, NULL},
-    {"placement", (PyCFunction)Engine_placement, METH_VARARGS, NULL},
-    {"parents", (PyCFunction)Engine_parents, METH_VARARGS, NULL},
-    {"counters", (PyCFunction)Engine_counters, METH_NOARGS, NULL},
     {"drain_counters", (PyCFunction)Engine_drain_counters, METH_NOARGS,
      NULL},
     {NULL}

@@ -17,9 +17,9 @@ structures:
   the neighbor task and the edge's data volume;
 * **cost tables** — :attr:`exec_` is the ``n x p`` execution-time table
   (``weight[i] * cycle_time[q]``) and :attr:`link_rows` the ``p x p``
-  per-item link matrix as plain Python sequences (no per-lookup numpy
-  scalar boxing); ``link_rows`` is the platform's own frozen table, so
-  a platform cannot be mutated out from under a compiled statics.
+  per-item link matrix; ``link_rows`` is the platform's own table of
+  nested tuples, so a platform cannot be mutated out from under a
+  compiled statics.
 
 Statics are cached per (graph, platform) on the graph itself (see
 :func:`compile_statics`) and invalidated on graph mutation, so replay,
@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable
-
-import numpy as np
 
 from ..core.exceptions import PlatformError
 from ..core.platform import Platform
@@ -59,8 +57,6 @@ class KernelStatics:
         "eindex",
         "esrc",
         "edst",
-        "esrc_np",
-        "edst_np",
         "edata",
         "all_links_finite",
         "pred_ptr",
@@ -105,8 +101,6 @@ class KernelStatics:
         }
         self.esrc: list[int] = [tindex[u] for u, _ in self.edges]
         self.edst: list[int] = [tindex[v] for _, v in self.edges]
-        self.esrc_np = np.array(self.esrc, dtype=np.intp)
-        self.edst_np = np.array(self.edst, dtype=np.intp)
         self.edata: list[float] = [maps.data[e] for e in self.edges]
         m = len(self.edges)
         self.num_edges = m

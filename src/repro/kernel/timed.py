@@ -42,8 +42,7 @@ addition per node.
 from __future__ import annotations
 
 from math import isfinite
-
-import numpy as np
+from operator import ne
 
 from ..core.exceptions import PlatformError, SchedulingError
 from .backends import current_backend
@@ -234,12 +233,11 @@ class TimedKernel:
         self.num_active = len(hop_list)
 
         # every edge must be either local, or remote with a booked
-        # transfer — one vectorized comparison; the python loop runs
-        # only to pinpoint the offending edge for the error message
-        al = np.asarray(alloc)
-        remote = al[statics.esrc_np] != al[statics.edst_np]
-        booked = np.frombuffer(active, dtype=np.uint8).astype(bool)
-        if not np.array_equal(remote, booked):
+        # transfer — one pass at C speed, comparing the remote flags as
+        # bytes with ``active``; the python loop runs only to pinpoint
+        # the offending edge for the error message
+        at = alloc.__getitem__
+        if bytes(map(ne, map(at, esrc), map(at, edst))) != active:
             for e, src, consumer in zip(range(m), esrc, edst):
                 if alloc[src] == alloc[consumer]:
                     if active[e]:

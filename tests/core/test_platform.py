@@ -1,11 +1,12 @@
 """Unit tests for the Platform substrate, including the paper's constants."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from repro.core import Platform, PlatformError
+from repro.core import Platform, PlatformError, platform_to_dict
 
 
 class TestConstruction:
@@ -32,8 +33,16 @@ class TestConstruction:
             Platform([-1.0])
 
     def test_bad_matrix_shape_rejected(self):
-        with pytest.raises(PlatformError):
-            Platform([1.0, 1.0], [[0.0]])
+        for bad in (
+            [[0.0]],
+            [[0.0, 1.0], [1.0]],  # ragged
+            [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],  # an extra column
+            [0.0, 1.0, 1.0, 0.0],  # flat
+            None,
+            np.int64(3),
+        ):
+            with pytest.raises(PlatformError):
+                Platform([1.0, 1.0], bad)
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(PlatformError):
@@ -44,7 +53,12 @@ class TestConstruction:
             Platform([1.0, 1.0], [[0.0, -1.0], [1.0, 0.0]])
 
     def test_nan_link_rejected_but_inf_is_no_link(self):
-        for bad in (math.nan, [[0.0, math.nan], [1.0, 0.0]]):
+        for bad in (
+            math.nan,
+            [[0.0, math.nan], [1.0, 0.0]],
+            [[0.0, None], [1.0, 0.0]],
+            [[0.0, "x"], [1.0, 0.0]],
+        ):
             with pytest.raises(PlatformError):
                 Platform([1.0, 2.0], bad)
         for missing in (math.inf, [[0.0, math.inf], [1.0, 0.0]]):
@@ -91,6 +105,12 @@ class TestCosts:
             p.cycle_time(2)
         with pytest.raises(PlatformError):
             p.link(0, 5)
+        # has_link checks its indices as link() does: -1 must not wrap
+        # to the last row
+        p3 = Platform.homogeneous(3)
+        for src, dst in ((-1, 0), (0, 3)):
+            with pytest.raises(PlatformError):
+                p3.has_link(src, dst)
 
 
 class TestPaperConstants:
@@ -185,3 +205,74 @@ class TestFrozenPlatform:
         # the cached statics still serve the original tables
         after = get_scheduler("heft").run(graph, p, "one-port").makespan()
         assert after == before
+
+
+def _random_platforms(rng, count):
+    """``(cycle_times, link rows)`` of three corner cases, then ``count``
+    random platforms: p from 1 to 16, magnitudes over six decades, some
+    or all links missing, some uniform networks."""
+    yield [1.0], [[0.0]]
+    yield [1.0, 2.0, 3.0], [[0.0 if q == r else math.inf for r in range(3)] for q in range(3)]
+    yield [1.0] * 4, [[0.0 if q == r else -0.0 for r in range(4)] for q in range(4)]
+    for _ in range(count):
+        p = rng.randint(1, 16)
+        missing = rng.choice((0.0, 0.0, 0.1, 0.5, 1.0))
+        uniform = rng.random() < 0.1
+        value = rng.random() * 10.0 ** rng.randint(-3, 3)
+        rows = [
+            [
+                0.0 if q == r
+                else math.inf if rng.random() < missing
+                else value if uniform
+                else rng.random() * 10.0 ** rng.randint(-3, 3)
+                for r in range(p)
+            ]
+            for q in range(p)
+        ]
+        yield [rng.choice((1.0, 2.0, 6.0, 10.0, 15.0)) for _ in range(p)], rows
+
+
+def _numpy_platform_dict(cycle_times, mat):
+    """``platform_to_dict`` computed from the platform's ndarray."""
+    off = mat[~np.eye(len(mat), dtype=bool)]
+    if off.size and np.all(off == off[0]) and np.all(np.isfinite(off)):
+        link = float(off[0])
+    elif not off.size:
+        link = 1.0
+    else:
+        link = [["inf" if not math.isfinite(x) else x for x in row] for row in mat.tolist()]
+    return {"cycle_times": list(cycle_times), "link": link}
+
+
+class TestNumpyOracle:
+    """Platform arithmetic equals its NumPy answers bit for bit.
+
+    The suites' link values sum exactly in any order, so only random
+    magnitudes can tell summation orders apart.  From p = 12 on, the
+    off-diagonal links pass 128 values, where the pairwise sum splits
+    in two.
+    """
+
+    CASES = 2500
+
+    def test_matches_numpy(self):
+        plain_differs = 0
+        for case, (cycle_times, rows) in enumerate(
+            _random_platforms(random.Random(20021), self.CASES)
+        ):
+            plat = Platform(cycle_times, rows)
+            mat = np.asarray(rows, dtype=float)
+            off = mat[~np.eye(len(rows), dtype=bool)]
+            finite = off[np.isfinite(off)]
+            average = float(np.mean(finite)) if finite.size else 0.0
+            assert plat.average_link_time().hex() == average.hex(), case
+            assert plat.is_fully_connected() is bool(np.all(np.isfinite(off))), case
+            want = _numpy_platform_dict(cycle_times, mat)
+            assert repr(platform_to_dict(plat)) == repr(want), case
+            assert np.array_equal(plat.link_matrix, mat), case
+            running = 0.0
+            for x in finite.tolist():
+                running += x
+            plain_differs += finite.size > 0 and running / finite.size != average
+        # the data has teeth: a plain running sum misses on many platforms
+        assert plain_differs > self.CASES // 10

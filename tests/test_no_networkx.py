@@ -1,9 +1,12 @@
-"""The runtime needs only numpy: networkx is a test and interop extra.
+"""The runtime needs no third-party package: numpy and networkx are
+test and interop extras.
 
-A fresh interpreter blocks ``import networkx``, imports every
-subpackage and the CLI, and drives the main paths end to end: one-port
-HEFT and its replay, routed HEFT on a sparse ring, and a short iterated
-local search.  Only :meth:`TaskGraph.to_networkx` may need networkx.
+A fresh interpreter blocks ``import numpy`` and ``import networkx``,
+imports every subpackage and the CLI, and drives the main paths end to
+end: one-port HEFT and its replay, routed HEFT on a sparse ring, a
+short iterated local search, and a platform's campaign payload.  Only
+:attr:`Platform.link_matrix`, :func:`repro.analysis.comm_matrix` and
+:meth:`TaskGraph.to_networkx` may need them.
 """
 
 import os
@@ -18,7 +21,9 @@ import importlib
 import pkgutil
 import sys
 
-sys.modules["networkx"] = None  # every `import networkx` now raises ImportError
+# every `import numpy` / `import networkx` now raises ImportError
+sys.modules["numpy"] = None
+sys.modules["networkx"] = None
 
 import repro
 import repro.cli
@@ -27,7 +32,8 @@ for info in pkgutil.iter_modules(repro.__path__, "repro."):
         importlib.import_module(info.name)
 
 from repro import Platform
-from repro.core import validate_schedule
+from repro.analysis import comm_matrix
+from repro.core import platform_to_dict, validate_schedule
 from repro.experiments import paper_platform
 from repro.graphs import lu_graph
 from repro.heuristics import get_scheduler
@@ -55,12 +61,22 @@ validate_schedule(ils)
 assert ils.search_stats["evals"] == 50, ils.search_stats
 assert ils.makespan() <= ils.search_stats["tightened_makespan"]
 
-try:
-    graph.to_networkx()
-except ImportError:
-    pass
-else:
-    raise AssertionError("to_networkx() succeeded without networkx")
+assert platform_to_dict(paper_platform()) == {
+    "cycle_times": [6.0] * 5 + [10.0] * 3 + [15.0] * 2, "link": 1.0
+}
+
+for name, needs_extra in (
+    ("link_matrix", lambda: ring.link_matrix),
+    ("comm_matrix", lambda: comm_matrix(heft)),
+    ("to_networkx", graph.to_networkx),
+):
+    try:
+        needs_extra()
+    except ImportError:
+        pass
+    else:
+        raise AssertionError(f"{name} succeeded without its extra")
+assert sys.modules["numpy"] is None
 assert sys.modules["networkx"] is None
 print("ok")
 """
