@@ -35,7 +35,9 @@ def weight_shares(cycle_times: Sequence[float]) -> list[float]:
     if any(t <= 0 for t in cycle_times):
         raise ConfigurationError("cycle times must be > 0")
     inv = [1.0 / t for t in cycle_times]
-    total = sum(inv)
+    total = 0.0
+    for x in inv:  # left to right, as Platform.aggregate_speed (not sum())
+        total += x
     return [x / total for x in inv]
 
 

@@ -235,8 +235,16 @@ class Platform:
     # heterogeneous averages (Section 4.1)
     # ------------------------------------------------------------------
     def aggregate_speed(self) -> float:
-        """``sum(1/t_i)`` — the platform's total relative speed."""
-        return sum(1.0 / t for t in self._cycle_times)
+        """``sum(1/t_i)`` — the platform's total relative speed.
+
+        Summed left to right from 0.0: built-in ``sum()`` compensates
+        its rounding from Python 3.12 on, which would move this float,
+        and with it every bottom level, between interpreter versions.
+        """
+        total = 0.0
+        for t in self._cycle_times:
+            total += 1.0 / t
+        return total
 
     def average_cycle_time(self) -> float:
         """Harmonic mean of the cycle times: ``p / sum(1/t_i)``.

@@ -38,6 +38,18 @@ class TestWeightShares:
         with pytest.raises(ConfigurationError):
             weight_shares([1.0, 0.0])
 
+    def test_shares_sum_left_to_right(self):
+        """The shares divide by a plain left-to-right sum of ``1/t_i``
+        (see ``test_platform``'s ``MIXED_CYCLE_TIMES``), not by built-in
+        ``sum()``, which compensates its rounding from Python 3.12 on."""
+        shares = weight_shares([6, 2, 7, 0.5, 10, 0.5, 2.5, 5, 6, 6, 1.5, 15])
+        assert [c.hex() for c in shares] == [
+            "0x1.9f3c3f06dbda1p-6", "0x1.376d2f4524e39p-4", "0x1.63ea7f2a734d3p-6",
+            "0x1.376d2f4524e39p-2", "0x1.f2484ba1d49f5p-7", "0x1.376d2f4524e39p-2",
+            "0x1.f2484ba1d49f5p-5", "0x1.f2484ba1d49f5p-6", "0x1.9f3c3f06dbda1p-6",
+            "0x1.9f3c3f06dbda1p-6", "0x1.9f3c3f06dbda1p-4", "0x1.4c30326be314ep-7",
+        ]
+
     def test_share_limits(self):
         limits = share_limits(100.0, [1.0, 1.0])
         assert limits == pytest.approx([50.0, 50.0])

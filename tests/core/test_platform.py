@@ -144,6 +144,11 @@ class TestPaperConstants:
         assert paper.average_link_time() == pytest.approx(1.0)
 
 
+#: Cycle times whose ``sum(1/t_i)`` rounds differently under a
+#: compensated sum than under a plain left-to-right one.
+MIXED_CYCLE_TIMES = [6, 2, 7, 0.5, 10, 0.5, 2.5, 5, 6, 6, 1.5, 15]
+
+
 class TestAverages:
     def test_single_processor_average_link_zero(self):
         assert Platform([1.0]).average_link_time() == 0.0
@@ -159,6 +164,15 @@ class TestAverages:
 
     def test_identical_processors_balance(self):
         assert Platform.homogeneous(4).perfect_balance_count() == 4
+
+    def test_aggregate_speed_sums_left_to_right(self):
+        """``sum(1/t_i)`` is a plain left-to-right float sum from 0.0 on
+        every Python version.  Built-in ``sum()`` compensates its
+        rounding from 3.12 on and returns ``0x1.a4e04e04e04e0p+2`` here,
+        which would move every bottom level on this platform."""
+        p = Platform(MIXED_CYCLE_TIMES)
+        assert p.aggregate_speed().hex() == "0x1.a4e04e04e04e2p+2"
+        assert p.average_cycle_time().hex() == "0x1.d323c6e7b7555p+0"
 
 
 class TestFrozenPlatform:
