@@ -16,7 +16,7 @@ define the iso-level decomposition of the first ILHA variant.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Callable, Hashable, Mapping, Sequence
 
 from .platform import Platform
 from .taskgraph import TaskGraph
@@ -36,6 +36,28 @@ def averaged_comms(graph: TaskGraph, platform: Platform) -> dict[tuple[TaskId, T
     return {(u, v): graph.data(u, v) * factor for u, v in graph.edges()}
 
 
+def _levels(
+    topo: Sequence[int],
+    succ_rows: Sequence[Sequence[int]],
+    edst: Sequence[int],
+    node_cost: Sequence[float],
+    edge_cost: Sequence[float],
+) -> list[float]:
+    """Bottom levels over interned tasks and edges (the one recurrence).
+
+    ``bl(v) = node_cost[v] + max over out-edges e of (edge_cost[e] +
+    bl(edst[e]))``, with the max taken as 0 for exit tasks, in one
+    reverse sweep of the topological order ``topo`` — O(V + E).  Each
+    row lists a task's out-edges in :meth:`TaskGraph.successors` order,
+    so ``max`` sees its operands in that order.
+    """
+    bl = [0.0] * len(node_cost)
+    for v in reversed(topo):
+        row = succ_rows[v]
+        bl[v] = node_cost[v] + (max([edge_cost[e] + bl[edst[e]] for e in row]) if row else 0.0)
+    return bl
+
+
 def bottom_levels_from(
     graph: TaskGraph,
     node_cost: Mapping[TaskId, float],
@@ -44,15 +66,20 @@ def bottom_levels_from(
     """Generic bottom levels from explicit per-node / per-edge costs.
 
     ``bl(v) = node_cost(v) + max over successors s of
-    (edge_cost(v, s) + bl(s))``, with the max taken as 0 for exit tasks.
-    Computed in one reverse topological sweep — O(V + E).
+    (edge_cost(v, s) + bl(s))``, with the max taken as 0 for exit tasks
+    (see :func:`_levels`).
     """
-    bl: dict[TaskId, float] = {}
-    for v in reversed(graph.topological_order()):
-        succs = graph.successors(v)
-        tail = max((edge_cost[(v, s)] + bl[s] for s in succs), default=0.0)
-        bl[v] = node_cost[v] + tail
-    return bl
+    maps = graph.as_maps()
+    index = maps.index
+    succ_rows, edst = maps.succ_csr()
+    bl = _levels(
+        [index[v] for v in graph.topological_order()],
+        succ_rows,
+        edst,
+        [node_cost[v] for v in index],
+        [edge_cost[e] for e in maps.data],
+    )
+    return dict(zip(index, bl))
 
 
 def top_levels_from(
@@ -74,8 +101,27 @@ def top_levels_from(
 
 
 def bottom_levels(graph: TaskGraph, platform: Platform) -> dict[TaskId, float]:
-    """Paper Section 4.1 bottom levels with heterogeneous averaging."""
-    return bottom_levels_from(graph, averaged_weights(graph, platform), averaged_comms(graph, platform))
+    """Paper Section 4.1 bottom levels with heterogeneous averaging.
+
+    Computed once per (graph, platform) on the interned statics and
+    cached there as :attr:`~repro.kernel.statics.KernelStatics.ranks`
+    (dropped with the statics when the graph mutates); each call returns
+    a fresh dict of the cached floats.
+    """
+    from ..kernel.statics import compile_statics
+
+    kernel = compile_statics(graph, platform)
+    ranks = kernel.ranks
+    if ranks is None:
+        act, alt = platform.average_cycle_time(), platform.average_link_time()
+        ranks = kernel.ranks = _levels(
+            kernel.topo_ix,
+            kernel.succ_rows,
+            kernel.edst,
+            [w * act for w in kernel.weights],
+            [d * alt for d in kernel.edata],
+        )
+    return dict(zip(kernel.tasks, ranks))
 
 
 def top_levels(graph: TaskGraph, platform: Platform) -> dict[TaskId, float]:

@@ -62,6 +62,22 @@ class GraphMaps(NamedTuple):
     succs: dict[TaskId, tuple[TaskId, ...]]
     index: dict[TaskId, int]
 
+    def succ_csr(self) -> tuple[list[list[int]], list[int]]:
+        """Interned out-edges: ``(succ_rows, edst)``.
+
+        Tasks are interned by :attr:`index` and edges by :attr:`data`
+        order, as in :class:`~repro.kernel.statics.KernelStatics`:
+        ``succ_rows[i]`` lists the edges leaving task ``i`` (in
+        successor order) and ``edst[e]`` is the target of edge ``e``.
+        """
+        index = self.index
+        succ_rows: list[list[int]] = [[] for _ in index]
+        edst = []
+        for e, (u, v) in enumerate(self.data):
+            succ_rows[index[u]].append(e)
+            edst.append(index[v])
+        return succ_rows, edst
+
 
 class TaskGraph:
     """A weighted DAG of tasks.

@@ -43,7 +43,7 @@ from time import perf_counter
 
 from ..core.exceptions import ConfigurationError, SchedulingError
 from ..core.platform import Platform
-from ..core.schedule import Schedule
+from ..core.schedule import CommEvent, Schedule, TaskPlacement
 from ..core.taskgraph import TaskGraph
 from ..kernel import compile_statics
 from ..kernel.builder import FlatBuilder, row_next_fit
@@ -87,8 +87,7 @@ class SchedulerState:
         "model",
         "maps",
         "kernel",
-        "schedule",
-        "finish",
+        "heuristic",
         "insertion",
         "builder",
         "booker",
@@ -98,9 +97,13 @@ class SchedulerState:
         "_ev_buf",
         "_pcache",
         "_place_log",
+        "_ev_log",
         "_compute_views",
         "_stats",
     )
+
+    #: Attributes a :meth:`snapshot` shares with its original.
+    _SHARED = ("graph", "platform", "model", "maps", "kernel", "heuristic", "insertion", "_stats")
 
     #: Recorded in ``Schedule.state_impl`` so cross-backend comparisons
     #: can verify which engine actually produced a schedule.
@@ -135,26 +138,73 @@ class SchedulerState:
         else:
             with stats.span("phase.statics"):
                 self.kernel = compile_statics(graph, platform)
-        #: Flat resource rows: compute rows 0..p-1 + the model's ports.
-        self.builder = FlatBuilder(platform.num_processors)
-        self.booker = model.flat_booker(self.builder, self.kernel)
-        self.schedule = Schedule(
-            graph,
-            platform,
-            model=model.name,
-            heuristic=heuristic,
-            state_impl=self.state_impl_name,
-        )
-        self.finish: dict[TaskId, float] = {}
+        self.heuristic = heuristic
         self.insertion = insertion
+        self._compute_views = None
+        self._init_engine()
+
+    def _init_engine(self) -> None:
+        """The python tier's engine: flat rows, placement arrays, logs."""
+        #: Flat resource rows: compute rows 0..p-1 + the model's ports.
+        self.builder = FlatBuilder(self.platform.num_processors)
+        self.booker = self.model.flat_booker(self.builder, self.kernel)
         n = self.kernel.num_tasks
         self._proc_a: list[int] = [-1] * n
         self._start_a: list[float] = [0.0] * n
         self._finish_a: list[float] = [0.0] * n
         self._ev_buf: list[tuple] = []
         self._pcache: tuple | None = None
-        self._place_log: list[int] | None = None
-        self._compute_views = None
+        #: Placed tasks in commit order, and the booker's transfer rows
+        #: ``(edge, src_proc, dst_proc, start, duration, hop)`` in
+        #: booking order: :attr:`schedule` is built from these two.
+        self._place_log: list[int] = []
+        self._ev_log: list[tuple] = []
+
+    # ------------------------------------------------------------------
+    # the schedule, built from the logs
+    # ------------------------------------------------------------------
+    @property
+    def schedule(self) -> Schedule:
+        """The schedule committed so far, built from the logs when read:
+        placements in commit order, communication events in booking
+        order.  Heuristics read it once, when their run is complete."""
+        schedule = Schedule(
+            self.graph,
+            self.platform,
+            model=self.model.name,
+            heuristic=self.heuristic,
+            state_impl=self.state_impl_name,
+        )
+        schedule.placements, schedule.comm_events = self._records()
+        return schedule
+
+    @property
+    def finish(self) -> dict[TaskId, float]:
+        """Finish time of every placed task, in commit order."""
+        return {task: p.finish for task, p in self.schedule.placements.items()}
+
+    def _records(self) -> tuple[dict, list]:
+        """``({task: TaskPlacement}, [CommEvent])`` from the logs, built
+        by the active backend's :meth:`~repro.kernel.backends.KernelBackend.records`."""
+        from ..kernel.backends import current_backend
+
+        records = current_backend().records
+        kernel = self.kernel
+        tasks, esrc, edst, edata = kernel.tasks, kernel.esrc, kernel.edst, kernel.edata
+        proc_a, start_a, finish_a = self._proc_a, self._start_a, self._finish_a
+        placed = [tasks[ti] for ti in self._place_log]
+        rows = [
+            (task, proc_a[ti], start_a[ti], finish_a[ti])
+            for task, ti in zip(placed, self._place_log)
+        ]
+        events = [
+            (tasks[esrc[e]], tasks[edst[e]], q, r, start, start + dur, edata[e], hop)
+            for e, q, r, start, dur, hop in self._ev_log
+        ]
+        return (
+            dict(zip(placed, records(TaskPlacement, rows))),
+            records(CommEvent, events),
+        )
 
     # ------------------------------------------------------------------
     # EFT engine
@@ -195,18 +245,7 @@ class SchedulerState:
 
     def parent_procs(self, task: TaskId) -> set[int]:
         """Processors hosting ``task``'s already-scheduled parents."""
-        kernel = self.kernel
-        esrc = kernel.esrc
-        proc_a = self._proc_a
-        out = set()
-        for e in kernel.pred_rows[kernel.intern(task)]:
-            pproc = proc_a[esrc[e]]
-            if pproc < 0:
-                raise SchedulingError(
-                    f"parent {kernel.tasks[esrc[e]]!r} of {task!r} is not scheduled"
-                )
-            out.add(pproc)
-        return out
+        return {row[3] for row in self._parents(self.kernel.intern(task))}
 
     def parents_info(self, task: TaskId) -> list[tuple[TaskId, int, float, float]]:
         """Incoming edges as ``(parent, parent_proc, parent_finish, data)``,
@@ -378,36 +417,35 @@ class SchedulerState:
             raise SchedulingError(f"no candidate processors for task {task!r}")
         return Candidate(task, bp, bs, bf)
 
-    def _commit_comms(self, task: TaskId, ti: int, proc: int) -> float:
-        """Re-derive and commit the task's message bookings + events.
+    def _unplaced(self, task: TaskId) -> int:
+        """``task``'s index; a task placed already is refused here,
+        before any commit mutates the state."""
+        ti = self.kernel.intern(task)
+        if self._proc_a[ti] >= 0:
+            raise SchedulingError(f"task {task!r} placed twice")
+        return ti
+
+    def _commit_comms(self, ti: int, proc: int) -> float:
+        """Re-derive, commit and log the task's message bookings.
 
         Returns the committed EST (latest arrival over all parents).
         """
         flat = self._parents(ti)
-        builder = self.builder
-        builder.gen += 1  # stale any tentative data: commit sees committed rows only
+        self.builder.gen += 1  # stale any tentative data: commit sees committed rows only
         out = self._ev_buf
         del out[:]
         est = self.booker.commit_est(flat, proc, out)
-        if out:
-            kernel = self.kernel
-            tasks, esrc, edata = kernel.tasks, kernel.esrc, kernel.edata
-            record = self.schedule.record_comm
-            for e, q, r, start, dur, hop in out:
-                record(tasks[esrc[e]], task, q, r, start, dur, edata[e], hop)
+        self._ev_log += out
         return est
 
-    def _place(self, task: TaskId, ti: int, proc: int, start: float, finish: float) -> None:
+    def _place(self, ti: int, proc: int, start: float, finish: float) -> None:
         if self._stats is not None:
             self._stats.inc("builder.commits")
         self.builder.book(proc, start, finish)
         self._proc_a[ti] = proc
         self._start_a[ti] = start
         self._finish_a[ti] = finish
-        self.schedule.place(task, proc, start, finish)
-        self.finish[task] = finish
-        if self._place_log is not None:
-            self._place_log.append(ti)
+        self._place_log.append(ti)
 
     def commit(self, candidate: Candidate) -> None:
         """Make a candidate permanent: comms, compute window, placement.
@@ -418,28 +456,47 @@ class SchedulerState:
         evaluated with a hand-modified ``parents`` list are not
         committable.
         """
-        task = candidate.task
-        ti = self.kernel.intern(task)
+        ti = self._unplaced(candidate.task)
         stats = self._stats
         detail = stats is not None and _stage_detail()
         if detail:
             t0 = perf_counter()
-        self._commit_comms(task, ti, candidate.proc)
-        self._place(task, ti, candidate.proc, candidate.start, candidate.finish)
+        self._commit_comms(ti, candidate.proc)
+        self._place(ti, candidate.proc, candidate.start, candidate.finish)
         if detail:
             stats.add_time("stage.commit", perf_counter() - t0)
+
+    def run_list(self, order: Iterable[int]) -> list[int]:
+        """Commit the interned tasks of ``order`` in turn, each at its
+        :meth:`best_candidate` over every processor; returns the chosen
+        processors.
+
+        The reference loop of the list heuristics (HEFT, PCT, ILHA's
+        Step 2).  A task that fails raises what :meth:`best_candidate`
+        or :meth:`commit` raises, with every task before it committed.
+        """
+        tasks = self.kernel.tasks
+        n = len(tasks)
+        procs = []
+        for ti in order:
+            if not 0 <= ti < n:
+                raise IndexError(f"task index {ti} out of range")
+            best = self.best_candidate(tasks[ti])
+            self.commit(best)
+            procs.append(best.proc)
+        return procs
 
     def schedule_on(
         self, task: TaskId, proc: int, insertion: bool | None = None
     ) -> Candidate:
         """Evaluate-and-commit ``task`` on a fixed processor (one pass)."""
-        ti = self.kernel.intern(task)
+        ti = self._unplaced(task)
         builder = self.builder
         stats = self._stats
         detail = stats is not None and _stage_detail()
         if detail:
             t0 = perf_counter()
-        est = self._commit_comms(task, ti, proc)
+        est = self._commit_comms(ti, proc)
         if detail:
             stats.add_time("stage.commit", perf_counter() - t0)
         duration = self.kernel.exec_[ti][proc]
@@ -453,7 +510,7 @@ class SchedulerState:
             last = ce[-1] if ce else 0.0
             start = est if est >= last else last
         finish = start + duration
-        self._place(task, ti, proc, start, finish)
+        self._place(ti, proc, start, finish)
         return Candidate(task, proc, start, finish)
 
     # ------------------------------------------------------------------
@@ -477,16 +534,14 @@ class SchedulerState:
         """Checkpoint; undo everything after it with :meth:`restore`.
 
         O(changed): while a mark is active every committed mutation
-        appends one undo record to the builder's journal.
+        appends one undo record to the builder's journal; placements and
+        events are cursors into their logs.
         """
-        cursor = self.builder.mark()
-        if self._place_log is None:
-            self._place_log = []
-        return (cursor, len(self._place_log), len(self.schedule.comm_events))
+        return (self.builder.mark(), len(self._place_log), len(self._ev_log))
 
     def restore(self, mark) -> None:
         """Roll back to ``mark``, undoing bookings/placements/events."""
-        cursor, place_cursor, events_len = mark
+        cursor, place_cursor, ev_cursor = mark
         stats = self._stats
         detail = stats is not None and _stage_detail()
         if detail:
@@ -494,48 +549,32 @@ class SchedulerState:
         self.builder.rollback(cursor)
         if detail:
             stats.add_time("stage.journal", perf_counter() - t0)
-        tasks = self.kernel.tasks
         log = self._place_log
-        for ti in reversed(log[place_cursor:]):
-            self._proc_a[ti] = -1
-            task = tasks[ti]
-            del self.schedule.placements[task]
-            del self.finish[task]
+        proc_a = self._proc_a
+        for ti in log[place_cursor:]:
+            proc_a[ti] = -1
         del log[place_cursor:]
-        if self.builder.log is None:  # outermost mark resolved
-            self._place_log = None
-        del self.schedule.comm_events[events_len:]
+        del self._ev_log[ev_cursor:]
 
     def snapshot(self) -> "SchedulerState":
         """Independent deep copy (prefer :meth:`mark`/:meth:`restore`)."""
         dup = object.__new__(type(self))
-        dup.graph = self.graph
-        dup.platform = self.platform
-        dup.model = self.model
-        dup.maps = self.maps
-        dup.kernel = self.kernel  # immutable statics, shared
+        for name in self._SHARED:  # the statics are immutable, shared
+            setattr(dup, name, getattr(self, name))
+        dup._compute_views = None
+        self._copy_engine(dup)
+        return dup
+
+    def _copy_engine(self, dup: "SchedulerState") -> None:
         dup.builder = self.builder.copy()
         dup.booker = self.booker.rebind(dup.builder)
-        dup.schedule = Schedule(
-            self.graph,
-            self.platform,
-            model=self.schedule.model,
-            heuristic=self.schedule.heuristic,
-            state_impl=self.schedule.state_impl,
-        )
-        dup.schedule.placements = dict(self.schedule.placements)
-        dup.schedule.comm_events = list(self.schedule.comm_events)
-        dup.finish = dict(self.finish)
-        dup.insertion = self.insertion
         dup._proc_a = list(self._proc_a)
         dup._start_a = list(self._start_a)
         dup._finish_a = list(self._finish_a)
         dup._ev_buf = []
         dup._pcache = None
-        dup._place_log = None
-        dup._compute_views = None
-        dup._stats = self._stats
-        return dup
+        dup._place_log = list(self._place_log)
+        dup._ev_log = list(self._ev_log)
 
 
 class ComputeRowView:
@@ -571,29 +610,38 @@ class ComputeRowView:
 
 
 class ReadyQueue:
-    """Ready tasks ordered by priority (a heap keyed by ``key(task)``).
+    """Ready tasks ordered by priority: a heap of ``(key, index)`` over
+    interned task indices.
 
-    Tracks the remaining in-degree of every task; :meth:`complete` marks
-    a task finished and enqueues the children that became ready.
+    ``key`` maps a task id to a sortable value (smaller = sooner) and is
+    evaluated once per task; ties go to the lower index (the graph's
+    insertion order), so task ids are never compared.  The queue tracks
+    the remaining in-degree of every task; :meth:`complete` marks a task
+    finished and enqueues the children that became ready.  ``kernel``
+    (the run's :class:`~repro.kernel.statics.KernelStatics`) supplies
+    the interning and adjacency; without one the queue interns
+    ``graph`` itself, in the same order.
     """
 
-    __slots__ = ("_key", "_heap", "_remaining", "_succs", "_index")
+    __slots__ = ("_keys", "_heap", "_remaining", "_succ_rows", "_edst", "_tasks", "_index")
 
-    def __init__(self, graph: TaskGraph, key: PriorityKey) -> None:
-        maps = graph.as_maps()
-        self._key = key
-        self._succs = maps.succs
-        self._index = maps.index
-        self._remaining = {v: len(maps.preds[v]) for v in maps.preds}
-        self._heap: list[tuple] = []
-        for v in maps.index:
-            if self._remaining[v] == 0:
-                self._push(v)
-
-    def _push(self, task: TaskId) -> None:
-        # The unique insertion index keeps heap entries totally ordered
-        # without ever comparing (possibly mixed-type) task ids.
-        heapq.heappush(self._heap, (self._key(task), self._index[task], task))
+    def __init__(self, graph: TaskGraph, key: PriorityKey, kernel=None) -> None:
+        if kernel is None:
+            maps = graph.as_maps()
+            self._index = maps.index
+            self._tasks = tasks = list(maps.index)
+            self._succ_rows, self._edst = maps.succ_csr()
+            indeg = [len(maps.preds[v]) for v in tasks]
+        else:
+            self._index = kernel.tindex
+            self._tasks = tasks = kernel.tasks
+            self._edst = kernel.edst
+            self._succ_rows = kernel.succ_rows
+            indeg = kernel.base_indeg
+        self._keys = keys = list(map(key, tasks))
+        self._remaining = list(indeg)
+        self._heap = [(keys[i], i) for i, d in enumerate(indeg) if not d]
+        heapq.heapify(self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -603,28 +651,67 @@ class ReadyQueue:
 
     def pop(self) -> TaskId:
         """Highest-priority ready task."""
-        return heapq.heappop(self._heap)[-1]
+        return self._tasks[heapq.heappop(self._heap)[1]]
 
     def pop_chunk(self, size: int) -> list[TaskId]:
         """Up to ``size`` highest-priority ready tasks, in priority order."""
-        out = []
-        while self._heap and len(out) < size:
-            out.append(heapq.heappop(self._heap)[-1])
-        return out
+        heap, tasks = self._heap, self._tasks
+        return [tasks[heapq.heappop(heap)[1]] for _ in range(min(size, len(heap)))]
 
     def push_back(self, task: TaskId) -> None:
         """Return an unscheduled task to the queue (chunk leftovers)."""
-        self._push(task)
+        i = self._index[task]
+        heapq.heappush(self._heap, (self._keys[i], i))
 
     def complete(self, task: TaskId) -> list[TaskId]:
         """Mark ``task`` done; enqueue and return newly-ready children."""
+        tasks = self._tasks
+        return [tasks[c] for c in self._complete(self._index[task])]
+
+    def _complete(self, i: int) -> list[int]:
+        heap, keys, remaining, edst = self._heap, self._keys, self._remaining, self._edst
         newly = []
-        for child in self._succs[task]:
-            self._remaining[child] -= 1
-            if self._remaining[child] == 0:
-                self._push(child)
-                newly.append(child)
+        for e in self._succ_rows[i]:
+            c = edst[e]
+            remaining[c] -= 1
+            if not remaining[c]:
+                heapq.heappush(heap, (keys[c], c))
+                newly.append(c)
         return newly
+
+    def chunks(self, size: int) -> list[list[int]]:
+        """Drain the queue ``size`` tasks at a time, completing each chunk
+        before the next pop; returns the interned chunks in pop order.
+
+        A list heuristic that completes what it pops before it pops again
+        sees exactly this sequence, so it depends only on the graph, the
+        key and ``size`` (ILHA's chunks of ``B``).
+        """
+        heap, pop, complete = self._heap, heapq.heappop, self._complete
+        out = []
+        while heap:
+            chunk = [pop(heap)[1] for _ in range(min(size, len(heap)))]
+            for i in chunk:
+                complete(i)
+            out.append(chunk)
+        return out
+
+    def order(self) -> list[int]:
+        """The whole pop order one task at a time — ``chunks(1)``,
+        flattened (the order HEFT and PCT commit in)."""
+        heap, keys, remaining = self._heap, self._keys, self._remaining
+        succ_rows, edst = self._succ_rows, self._edst
+        pop, push = heapq.heappop, heapq.heappush
+        out = []
+        while heap:
+            i = pop(heap)[1]
+            out.append(i)
+            for e in succ_rows[i]:
+                c = edst[e]
+                remaining[c] -= 1
+                if not remaining[c]:
+                    push(heap, (keys[c], c))
+        return out
 
 
 class Scheduler(ABC):

@@ -48,7 +48,7 @@ class HEFT(Scheduler):
     priority_key:
         Optional override of the ready-queue ordering; maps a task to a
         sortable tuple (smaller = scheduled sooner).  Defaults to
-        ``(-bottom_level,)`` with ties broken by task insertion index.
+        ``-bottom_level`` with ties broken by task insertion index.
         The paper's toy example (Figure 4) fixes a specific tie order,
         which tests reproduce through this hook.
     """
@@ -74,12 +74,8 @@ class HEFT(Scheduler):
         else:
             with _obs_span("phase.rank"):
                 bl = bottom_levels(graph, platform)
-            key = lambda v: (-bl[v],)  # noqa: E731
+            key = lambda v: -bl[v]  # noqa: E731
 
         with _obs_span("phase.construct"):
-            queue = ReadyQueue(graph, key)
-            while queue:
-                task = queue.pop()
-                state.commit(state.best_candidate(task))
-                queue.complete(task)
+            state.run_list(ReadyQueue(graph, key, state.kernel).order())
         return state.schedule

@@ -49,6 +49,7 @@ from ..core.ranking import bottom_levels
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
 from ..models.base import CommunicationModel
+from ..obs import span as _obs_span
 from .base import (
     PriorityKey,
     ReadyQueue,
@@ -62,14 +63,28 @@ TaskId = Hashable
 
 
 class _ChunkBudget:
-    """Step-1 budget tracker, in task counts or weight units (see ILHA)."""
+    """Step-1 budget tracker, in task counts or weight units (see ILHA).
+
+    ``counts`` memoises the read-only count limits by chunk length: a run
+    computes :func:`optimal_distribution` once per distinct length.
+    """
 
     __slots__ = ("mode", "limits", "used", "tracker")
 
-    def __init__(self, mode: str, chunk_weights: Sequence[float], cycle_times: Sequence[float]):
+    def __init__(
+        self,
+        mode: str,
+        chunk_weights: Sequence[float],
+        cycle_times: Sequence[float],
+        counts: dict[int, list[int]],
+    ):
         self.mode = mode
         if mode == "counts":
-            self.limits = optimal_distribution(len(chunk_weights), cycle_times)
+            n = len(chunk_weights)
+            limits = counts.get(n)
+            if limits is None:
+                limits = counts[n] = optimal_distribution(n, cycle_times)
+            self.limits = limits
             self.used = [0] * len(cycle_times)
             self.tracker = None
         else:
@@ -174,109 +189,107 @@ class ILHA(Scheduler):
         if self.priority_key is not None:
             key = self.priority_key
         else:
-            bl = bottom_levels(graph, platform)
-            key = lambda v: (-bl[v],)  # noqa: E731
+            with _obs_span("phase.rank"):
+                bl = bottom_levels(graph, platform)
+            key = lambda v: -bl[v]  # noqa: E731
         b = self.b if self.b is not None else default_chunk_size(platform)
 
-        queue = ReadyQueue(graph, key)
-        while queue:
-            chunk = queue.pop_chunk(b)
-            if self.reschedule:
-                # Pre-allocate on a scratch run (rolled back through the
-                # state's undo journal — O(chunk), not a deep copy), then
-                # rebuild the chunk's timing with the allocation fixed.
-                mark = state.mark()
-                alloc = self._run_chunk(state, chunk)
-                state.restore(mark)
-                for task in chunk:
-                    state.schedule_on(task, alloc[task])
-            else:
-                self._run_chunk(state, chunk)
-            for task in chunk:
-                queue.complete(task)
+        with _obs_span("phase.construct"):
+            tasks = state.kernel.tasks
+            counts: dict[int, list[int]] = {}
+            for chunk in ReadyQueue(graph, key, state.kernel).chunks(b):
+                if self.reschedule:
+                    # Pre-allocate on a scratch run (rolled back through
+                    # the state's undo journal — O(chunk), not a deep
+                    # copy), then rebuild the chunk's timing with the
+                    # allocation fixed.
+                    mark = state.mark()
+                    alloc = self._run_chunk(state, chunk, counts)
+                    state.restore(mark)
+                    for ti in chunk:
+                        state.schedule_on(tasks[ti], alloc[ti])
+                else:
+                    self._run_chunk(state, chunk, counts)
         return state.schedule
 
     # ------------------------------------------------------------------
     def _run_chunk(
-        self, state: SchedulerState, chunk: Sequence[TaskId]
-    ) -> dict[TaskId, int]:
+        self, state: SchedulerState, chunk: list[int], counts: dict[int, list[int]]
+    ) -> dict[int, int]:
         """Steps 1 (+ optional single-comm scan) and 2 on ``state``.
 
-        Commits every chunk task to ``state`` and returns the allocation.
+        ``chunk`` holds interned tasks.  Commits every one of them to
+        ``state`` and returns the allocation by task index.
         """
-        maps = state.maps
+        kernel = state.kernel
+        tasks, weights, pred_rows = kernel.tasks, kernel.weights, kernel.pred_rows
         platform = state.platform
         tracker = _ChunkBudget(
-            self.budget, [maps.weight[t] for t in chunk], platform.cycle_times
+            self.budget, [weights[ti] for ti in chunk], platform.cycle_times, counts
         )
-        alloc: dict[TaskId, int] = {}
-        remaining: list[TaskId] = []
+        alloc: dict[int, int] = {}
+        remaining: list[int] = []
 
         # Step 1: zero-communication allocations within the share budgets.
-        for task in chunk:
-            parents = maps.preds[task]
-            if parents:
-                procs = state.parent_procs(task)
+        for ti in chunk:
+            if pred_rows[ti]:
+                procs = state.parent_procs(tasks[ti])
                 if len(procs) == 1:
                     proc = next(iter(procs))
-                    if tracker.fits(proc, maps.weight[task]):
-                        state.schedule_on(task, proc)
-                        tracker.add(proc, maps.weight[task])
-                        alloc[task] = proc
+                    if tracker.fits(proc, weights[ti]):
+                        state.schedule_on(tasks[ti], proc)
+                        tracker.add(proc, weights[ti])
+                        alloc[ti] = proc
                         continue
-            remaining.append(task)
+            remaining.append(ti)
 
         # Optional scan: tasks placeable at the price of one message.
         if self.single_comm_scan:
-            still: list[TaskId] = []
-            for task in remaining:
-                placed = self._try_single_comm(state, tracker, task)
+            still: list[int] = []
+            for ti in remaining:
+                placed = self._try_single_comm(state, tracker, ti)
                 if placed is None:
-                    still.append(task)
+                    still.append(ti)
                 else:
-                    alloc[task] = placed
+                    alloc[ti] = placed
             remaining = still
 
-        # Step 2: HEFT-style earliest completion time.
-        for task in remaining:
-            procs = None
-            if self.respect_shares_step2:
-                fitting = [
-                    p
-                    for p in platform.processors
-                    if tracker.fits(p, maps.weight[task])
-                ]
-                procs = fitting or None
-            best = state.best_candidate(task, procs)
+        # Step 2: HEFT-style earliest completion time.  Only the share
+        # filter needs the budget after Step 1; without it the whole
+        # step is one list.
+        if not self.respect_shares_step2:
+            alloc.update(zip(remaining, state.run_list(remaining)))
+            return alloc
+        for ti in remaining:
+            fitting = [p for p in platform.processors if tracker.fits(p, weights[ti])]
+            best = state.best_candidate(tasks[ti], fitting or None)
             state.commit(best)
-            tracker.add(best.proc, maps.weight[task])
-            alloc[task] = best.proc
+            tracker.add(best.proc, weights[ti])
+            alloc[ti] = best.proc
         return alloc
 
     def _try_single_comm(
-        self, state: SchedulerState, tracker: _ChunkBudget, task: TaskId
+        self, state: SchedulerState, tracker: _ChunkBudget, ti: int
     ) -> int | None:
-        """Place ``task`` where exactly one parent is remote, if possible.
+        """Place task ``ti`` where exactly one parent is remote, if possible.
 
         Candidate processors are those hosting at least one parent (so the
         message count is the number of parents elsewhere); among the
         candidates with exactly one remote parent and budget headroom, the
         earliest completion time wins.  Returns the processor or ``None``.
         """
-        maps = state.maps
-        parents = maps.preds[task]
-        if not parents:
+        kernel = state.kernel
+        nparents = len(kernel.pred_rows[ti])
+        if not nparents:
             return None
-        weight = maps.weight[task]
+        task, weight = kernel.tasks[ti], kernel.weights[ti]
         by_proc: dict[int, int] = {}
-        for p in parents:
-            by_proc[state.schedule.placements[p].proc] = (
-                by_proc.get(state.schedule.placements[p].proc, 0) + 1
-            )
+        for _parent, pproc, _pfinish, _data in state.parents_info(task):
+            by_proc[pproc] = by_proc.get(pproc, 0) + 1
         candidates = [
             proc
             for proc, count in by_proc.items()
-            if len(parents) - count == 1 and tracker.fits(proc, weight)
+            if nparents - count == 1 and tracker.fits(proc, weight)
         ]
         if not candidates:
             return None
@@ -420,9 +433,8 @@ class ILHAClassic(Scheduler):
             budget = optimal_distribution(len(chunk), platform.cycle_times)
             leftovers: list[TaskId] = []
             for task in chunk:
-                parents = maps.preds[task]
-                if parents:
-                    procs = {state.schedule.placements[p].proc for p in parents}
+                if maps.preds[task]:
+                    procs = state.parent_procs(task)
                     if len(procs) == 1:
                         proc = next(iter(procs))
                         if budget[proc] > 0:

@@ -20,6 +20,7 @@ from ..core.ranking import bottom_levels
 from ..core.schedule import Schedule
 from ..core.taskgraph import TaskGraph
 from ..models.base import CommunicationModel
+from ..obs import span as _obs_span
 from .base import (
     ReadyQueue,
     Scheduler,
@@ -48,10 +49,8 @@ class PCT(Scheduler):
         state = SchedulerState(
             graph, platform, model, heuristic=self.name, insertion=self.insertion
         )
-        pct = bottom_levels(graph, platform)
-        queue = ReadyQueue(graph, lambda v: (-pct[v],))
-        while queue:
-            task = queue.pop()
-            state.commit(state.best_candidate(task))
-            queue.complete(task)
+        with _obs_span("phase.rank"):
+            pct = bottom_levels(graph, platform)
+        with _obs_span("phase.construct"):
+            state.run_list(ReadyQueue(graph, lambda v: -pct[v], state.kernel).order())
         return state.schedule

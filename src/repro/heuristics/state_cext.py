@@ -32,6 +32,7 @@ from collections.abc import Hashable, Iterable, Sequence
 from time import perf_counter
 
 from ..core.exceptions import SchedulingError
+from ..core.schedule import CommEvent, TaskPlacement
 from ..kernel import _cext
 from ..kernel.cext_backend import engine_statics
 from ..obs import stage_detail as _stage_detail
@@ -147,18 +148,20 @@ class _CextComputeRowView:
 class CextSchedulerState(SchedulerState):
     """Scheduler state on the compiled engine (see module docstring)."""
 
-    __slots__ = ("_eng", "_mdepth")
+    __slots__ = ("_eng",)
 
     state_impl_name = "flat-cext"
 
     def __init__(self, *args, **kwargs) -> None:
+        """As :class:`SchedulerState`; :meth:`_init_engine` builds the engine."""
         super().__init__(*args, **kwargs)
+
+    def _init_engine(self) -> None:
         self._eng = eng = _cext.Engine(engine_statics(self.kernel), _model_code(self.model))
-        #: The inherited FlatBuilder/booker pair is superseded by the
-        #: engine; ``builder`` becomes the read facade so state
-        #: introspection keeps working.
+        #: No FlatBuilder/booker pair: ``builder`` is the engine's read
+        #: facade, so state introspection keeps working.
         self.builder = _EngineBuilder(eng)
-        self._mdepth = 0
+        self.booker = None
 
     # ------------------------------------------------------------------
     # counter drain
@@ -168,9 +171,9 @@ class CextSchedulerState(SchedulerState):
 
         The engine accumulates counters in C; draining only at the
         sync points that close out every construction step (commit,
-        schedule_on, restore) keeps the evaluate fast path free of
-        per-call stats traffic while every completed run still reports
-        exact totals.
+        schedule_on, run_list, restore) keeps the evaluate fast path
+        free of per-call stats traffic while every completed run still
+        reports exact totals.
         """
         deltas = self._eng.drain_counters()
         if deltas is not None:
@@ -181,6 +184,9 @@ class CextSchedulerState(SchedulerState):
     # ------------------------------------------------------------------
     # EFT engine
     # ------------------------------------------------------------------
+    def _parents(self, ti: int) -> list[tuple[float, int, int, int]]:
+        return self._eng.parents(ti)
+
     def evaluate(
         self,
         task: TaskId,
@@ -237,52 +243,49 @@ class CextSchedulerState(SchedulerState):
     # ------------------------------------------------------------------
     # commits
     # ------------------------------------------------------------------
-    def _record_events(self, task: TaskId, proc: int, events: list) -> None:
-        if not events:
-            return
-        kernel = self.kernel
-        tasks, esrc, edata = kernel.tasks, kernel.esrc, kernel.edata
-        record = self.schedule.record_comm
-        for e, q, start, dur in events:
-            record(tasks[esrc[e]], task, q, proc, start, dur, edata[e])
-
-    def _mirror_place(
-        self, task: TaskId, ti: int, proc: int, start: float, finish: float
-    ) -> None:
-        self._proc_a[ti] = proc
-        self._start_a[ti] = start
-        self._finish_a[ti] = finish
-        self.schedule.place(task, proc, start, finish)
-        self.finish[task] = finish
-
     def commit(self, candidate: Candidate) -> None:
-        eng = self._eng
-        task = candidate.task
-        ti = self.kernel.intern(task)
-        proc, start, finish = candidate.proc, candidate.start, candidate.finish
+        ti = self.kernel.intern(candidate.task)
         detail = self._stats is not None and _stage_detail()
         if detail:
             t0 = perf_counter()
-        events = eng.commit(ti, proc, start, finish)
-        if detail:
-            self._stats.add_time("stage.commit", perf_counter() - t0)
-        self._record_events(task, proc, events)
-        self._mirror_place(task, ti, proc, start, finish)
-        if self._stats is not None:
-            self._flush_counters()
+        try:
+            self._eng.commit(ti, candidate.proc, candidate.start, candidate.finish)
+        finally:
+            if detail:
+                self._stats.add_time("stage.commit", perf_counter() - t0)
+            if self._stats is not None:
+                self._flush_counters()
+
+    def run_list(self, order: Iterable[int]) -> list[int]:
+        """One ``Engine.run_list`` call: the reference loop in C.
+
+        Under :func:`~repro.obs.stage_detail_scope` the reference loop
+        runs instead, so the ``stage.*`` timers keep timing each sweep
+        and commit.
+        """
+        stats = self._stats
+        if stats is not None and _stage_detail():
+            return super().run_list(order)
+        try:
+            return self._eng.run_list(order, self.insertion)
+        finally:
+            if stats is not None:
+                self._flush_counters()
 
     def schedule_on(
         self, task: TaskId, proc: int, insertion: bool | None = None
     ) -> Candidate:
-        eng = self._eng
         ti = self.kernel.intern(task)
         ins = self.insertion if insertion is None else insertion
-        start, finish, events = eng.schedule_on(ti, proc, ins)
-        self._record_events(task, proc, events)
-        self._mirror_place(task, ti, proc, start, finish)
-        if self._stats is not None:
-            self._flush_counters()
+        try:
+            start, finish = self._eng.schedule_on(ti, proc, ins)
+        finally:
+            if self._stats is not None:
+                self._flush_counters()
         return Candidate(task, proc, start, finish)
+
+    def _records(self) -> tuple[dict, list]:
+        return self._eng.records(TaskPlacement, CommEvent, self.kernel.tasks)
 
     # ------------------------------------------------------------------
     # compute-row views
@@ -301,62 +304,19 @@ class CextSchedulerState(SchedulerState):
     # scratch runs and snapshots
     # ------------------------------------------------------------------
     def mark(self):
-        eng = self._eng
-        cursor, pcursor = eng.mark()
-        self._mdepth += 1
-        return (cursor, pcursor, len(self.schedule.comm_events))
+        return self._eng.mark()
 
     def restore(self, mark) -> None:
-        eng = self._eng
-        cursor, pcursor, events_len = mark
         detail = self._stats is not None and _stage_detail()
         if detail:
             t0 = perf_counter()
-        _entries, undone = eng.rollback(cursor, pcursor)
+        self._eng.rollback(*mark)
         if detail:
             self._stats.add_time("stage.journal", perf_counter() - t0)
-        tasks = self.kernel.tasks
-        placements = self.schedule.placements
-        finish = self.finish
-        proc_a = self._proc_a
-        for ti in undone:
-            proc_a[ti] = -1
-            task = tasks[ti]
-            del placements[task]
-            del finish[task]
-        self._mdepth -= 1
-        del self.schedule.comm_events[events_len:]
         if self._stats is not None:
             self._flush_counters()
 
-    def snapshot(self) -> "CextSchedulerState":
-        dup = object.__new__(type(self))
-        dup.graph = self.graph
-        dup.platform = self.platform
-        dup.model = self.model
-        dup.maps = self.maps
-        dup.kernel = self.kernel  # immutable statics, shared
+    def _copy_engine(self, dup: "CextSchedulerState") -> None:
         dup._eng = self._eng.copy()
         dup.builder = _EngineBuilder(dup._eng)
-        dup.booker = self.booker  # unused on the engine path
-        dup.schedule = type(self.schedule)(
-            self.graph,
-            self.platform,
-            model=self.schedule.model,
-            heuristic=self.schedule.heuristic,
-            state_impl=self.schedule.state_impl,
-        )
-        dup.schedule.placements = dict(self.schedule.placements)
-        dup.schedule.comm_events = list(self.schedule.comm_events)
-        dup.finish = dict(self.finish)
-        dup.insertion = self.insertion
-        dup._proc_a = list(self._proc_a)
-        dup._start_a = list(self._start_a)
-        dup._finish_a = list(self._finish_a)
-        dup._ev_buf = []
-        dup._pcache = None
-        dup._place_log = None
-        dup._compute_views = None
-        dup._stats = self._stats
-        dup._mdepth = 0
-        return dup
+        dup.booker = None

@@ -339,6 +339,54 @@ set_index(PyObject *list, Py_ssize_t i, Py_ssize_t v)
     return PyList_SetItem(list, i, o);
 }
 
+/* A field the cyclic collector could reach a cycle through: CPython's
+ * own test when it untracks a tuple (_PyObject_GC_MAY_BE_TRACKED). */
+static inline int
+may_be_tracked(PyObject *x)
+{
+    return PyObject_IS_GC(x) && (!PyTuple_CheckExact(x) || PyObject_GC_IsTracked(x));
+}
+
+/* records() and Engine.records() build tuple subclasses without
+ * instance slots (TaskPlacement, CommEvent) as tuple.__new__ does */
+static int
+check_record_cls(PyTypeObject *cls)
+{
+    if (!PyType_IsSubtype(cls, &PyTuple_Type) ||
+        cls->tp_basicsize != PyTuple_Type.tp_basicsize || cls->tp_dictoffset != 0) {
+        PyErr_Format(PyExc_TypeError,
+                     "records: %s is not a tuple subclass without instance slots",
+                     cls->tp_name);
+        return -1;
+    }
+    return 0;
+}
+
+/* tuple.__new__(cls, fields[0..n)): a record none of whose fields may be
+ * tracked (task ids, processor indices, times) can never be on a
+ * reference cycle, so it is left untracked -- what CPython does for a
+ * plain tuple at its first collection but never for a subclass.
+ * Tracked, each record alive at a generation-1 collection is promoted
+ * and counts toward the next full collection. */
+static PyObject *
+new_record(PyTypeObject *cls, PyObject *const *fields, Py_ssize_t n)
+{
+    PyObject *rec = cls->tp_alloc(cls, n);
+    if (rec == NULL)
+        return NULL;
+    int leaf = 1;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        PyObject *x = fields[k];
+        Py_INCREF(x);
+        PyTuple_SET_ITEM(rec, k, x);
+        if (leaf && may_be_tracked(x))
+            leaf = 0;
+    }
+    if (leaf)
+        PyObject_GC_UnTrack(rec);
+    return rec;
+}
+
 /* point_pass(alloc, seq, start, finish, tight) -> (makespan, timed):
  * TimedKernel._point_loop over a search point's interned allocation
  * and global sequence.
@@ -587,11 +635,14 @@ typedef struct {
     Py_ssize_t pos;
 } UndoRec;
 
+/* one booked transfer: edge, source processor, start, duration, and
+ * the consuming task, whose placement is the destination processor */
 typedef struct {
     Py_ssize_t e;
     Py_ssize_t q;
     double t;
     double dur;
+    Py_ssize_t ti;
 } EvRec;
 
 typedef struct {
@@ -611,10 +662,9 @@ typedef struct {
     UndoRec *log;
     Py_ssize_t log_len, log_cap;
     Py_ssize_t mark_depth;
-    /* placement log (SchedulerState._place_log) */
+    /* placement log (SchedulerState._place_log): tasks in commit order */
     Py_ssize_t *plog;
     Py_ssize_t plog_len, plog_cap;
-    int plog_active;
     /* placements */
     Py_ssize_t *proc_a;    /* n, -1 = unplaced */
     double *start_a;
@@ -626,11 +676,12 @@ typedef struct {
     double *seed_ready;
     double *seed_dur;
     double *seed_t;
+    /* event log (SchedulerState._ev_log): transfers in booking order */
+    EvRec *ev;
+    Py_ssize_t ev_len, ev_cap;
     /* scratch */
     PRow *par;
     Py_ssize_t par_cap;
-    EvRec *ev;
-    Py_ssize_t ev_len, ev_cap;
     unsigned char *touched;  /* num_rows, rollback scratch */
     /* obs counters (drained by the Python wrapper when stats are on) */
     long long c_candidates;
@@ -735,7 +786,7 @@ engine_alloc(EngineObject *self, StaticsObject *st, int model)
     self->mark_depth = 0;
     self->log_len = 0;
     self->plog_len = 0;
-    self->plog_active = 0;
+    self->ev_len = 0;
     Py_INCREF(st);
     self->st = st;
     return 0;
@@ -1523,46 +1574,38 @@ parse_procs(EngineObject *eg, PyObject *procs_o, Py_ssize_t *count, int *err)
     return out;
 }
 
-static PyObject *
-events_to_list(EngineObject *eg)
+/* refuse a task that is already placed, before anything is mutated */
+static int
+check_unplaced(EngineObject *eg, Py_ssize_t ti)
 {
-    PyObject *lst = PyList_New(eg->ev_len);
-    if (lst == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < eg->ev_len; i++) {
-        PyObject *t = Py_BuildValue("(nndd)", eg->ev[i].e, eg->ev[i].q,
-                                    eg->ev[i].t, eg->ev[i].dur);
-        if (t == NULL) {
-            Py_DECREF(lst);
-            return NULL;
-        }
-        PyList_SET_ITEM(lst, i, t);
+    if (eg->proc_a[ti] >= 0) {
+        PyErr_Format(SCHED_ERR, "task #%zd placed twice", ti);
+        return -1;
     }
-    return lst;
+    return 0;
 }
 
-/* SchedulerState.best_candidate: min-EFT sweep with maxpf / frontier /
- * in-trial-abort pruning, strict (finish, start, proc) tie-break.
- * Returns (proc, start, finish) or None when no candidate exists. */
-static PyObject *
-Engine_best_candidate(EngineObject *eg, PyObject *args)
+/* compute slot of a duration-long window on proc at or after est */
+static inline double
+slot_c(EngineObject *eg, Py_ssize_t proc, double est, double duration,
+       int use_insertion)
 {
-    Py_ssize_t ti;
-    int use_insertion;
-    PyObject *procs_o;
-    if (!PyArg_ParseTuple(args, "npO:best_candidate", &ti, &use_insertion,
-                          &procs_o))
-        return NULL;
-    if (check_ti(eg, ti) < 0)
-        return NULL;
-    Py_ssize_t np_ = resolve_parents(eg, ti);
-    if (np_ < 0)
-        return NULL;
-    int perr = 0;
-    Py_ssize_t nprocs;
-    Py_ssize_t *procs = parse_procs(eg, procs_o, &nprocs, &perr);
-    if (perr)
-        return NULL;
+    Row *crow = &eg->rows[proc];
+    if (use_insertion)
+        return row_next_fit_c(crow->s, crow->e, crow->len, est, duration);
+    double last = crow->len ? crow->e[crow->len - 1] : 0.0;
+    return est >= last ? est : last;
+}
+
+/* SchedulerState.best_candidate's sweep over ti's resolved parents
+ * (eg->par[0..np_)): min-EFT with maxpf / frontier / in-trial-abort
+ * pruning and the strict (finish, start, proc) tie-break.  procs NULL
+ * means processors 0..nprocs-1.  *bp_out is -1 when nothing qualifies. */
+static int
+sweep_c(EngineObject *eg, Py_ssize_t ti, Py_ssize_t np_, int use_insertion,
+        const Py_ssize_t *procs, Py_ssize_t nprocs, Py_ssize_t *bp_out,
+        double *bs_out, double *bf_out)
+{
     StaticsObject *st = eg->st;
     const double *exec_row = st->exec_ + ti * st->p;
     int prunable = st->all_links_finite;
@@ -1589,10 +1632,8 @@ Engine_best_candidate(EngineObject *eg, PyObject *args)
         int err = 0;
         double est = trial_est_dispatch(eg, par, np_, proc,
                                         prunable ? bf : inf, duration, &err);
-        if (err) {
-            PyMem_Free(procs);
-            return NULL;
-        }
+        if (err)
+            return -1;
         if (prunable && est + duration > bf) {
             eg->c_prune_abort++;
             continue;
@@ -1610,7 +1651,99 @@ Engine_best_candidate(EngineObject *eg, PyObject *args)
             bp = proc;
         }
     }
+    *bp_out = bp;
+    *bs_out = bs;
+    *bf_out = bf;
+    return 0;
+}
+
+static int
+plog_append(EngineObject *eg, Py_ssize_t ti)
+{
+    if (eg->plog_len >= eg->plog_cap) {
+        Py_ssize_t nc = eg->plog_cap ? eg->plog_cap * 2 : 64;
+        Py_ssize_t *np_ = PyMem_Realloc(eg->plog,
+                                        (size_t)nc * sizeof(Py_ssize_t));
+        if (np_ == NULL) { PyErr_NoMemory(); return -1; }
+        eg->plog = np_;
+        eg->plog_cap = nc;
+    }
+    eg->plog[eg->plog_len++] = ti;
+    return 0;
+}
+
+/* SchedulerState._commit_comms: re-derive ti's transfers to proc from
+ * the committed rows (eg->par must hold ti's parents), book them, and
+ * log them.  *est is the latest arrival.  A failure logs none of them. */
+static int
+commit_comms_c(EngineObject *eg, Py_ssize_t ti, Py_ssize_t proc,
+               Py_ssize_t np_, double *est)
+{
+    Py_ssize_t ev0 = eg->ev_len;
+    int err = 0;
+    eg->gen += 1;  /* stale any tentative data */
+    *est = commit_est_dispatch(eg, eg->par, np_, proc, &err);
+    if (err) {
+        eg->ev_len = ev0;
+        return -1;
+    }
+    for (Py_ssize_t k = ev0; k < eg->ev_len; k++)
+        eg->ev[k].ti = ti;
+    return 0;
+}
+
+/* SchedulerState._place: book the compute window, log the placement */
+static int
+place_c(EngineObject *eg, Py_ssize_t ti, Py_ssize_t proc, double start,
+        double finish)
+{
+    eg->c_commits++;
+    if (book_c(eg, proc, start, finish) < 0 || plog_append(eg, ti) < 0)
+        return -1;
+    eg->proc_a[ti] = proc;
+    eg->start_a[ti] = start;
+    eg->finish_a[ti] = finish;
+    return 0;
+}
+
+/* the commit of a candidate: its transfers, then its compute window */
+static int
+commit_c(EngineObject *eg, Py_ssize_t ti, Py_ssize_t proc, Py_ssize_t np_,
+         double start, double finish)
+{
+    double est;
+    if (commit_comms_c(eg, ti, proc, np_, &est) < 0)
+        return -1;
+    return place_c(eg, ti, proc, start, finish);
+}
+
+/* SchedulerState.best_candidate: (proc, start, finish) of the sweep's
+ * winner, or None when no candidate exists. */
+static PyObject *
+Engine_best_candidate(EngineObject *eg, PyObject *args)
+{
+    Py_ssize_t ti;
+    int use_insertion;
+    PyObject *procs_o;
+    if (!PyArg_ParseTuple(args, "npO:best_candidate", &ti, &use_insertion,
+                          &procs_o))
+        return NULL;
+    if (check_ti(eg, ti) < 0)
+        return NULL;
+    Py_ssize_t np_ = resolve_parents(eg, ti);
+    if (np_ < 0)
+        return NULL;
+    int perr = 0;
+    Py_ssize_t nprocs;
+    Py_ssize_t *procs = parse_procs(eg, procs_o, &nprocs, &perr);
+    if (perr)
+        return NULL;
+    Py_ssize_t bp;
+    double bs, bf;
+    int rc = sweep_c(eg, ti, np_, use_insertion, procs, nprocs, &bp, &bs, &bf);
     PyMem_Free(procs);
+    if (rc < 0)
+        return NULL;
     if (bp < 0)
         Py_RETURN_NONE;
     return Py_BuildValue("(ndd)", bp, bs, bf);
@@ -1630,14 +1763,7 @@ eval_one_c(EngineObject *eg, Py_ssize_t ti, Py_ssize_t proc,
     if (err)
         return -1;
     double duration = eg->st->exec_[ti * eg->st->p + proc];
-    Row *crow = &eg->rows[proc];
-    double start;
-    if (use_insertion) {
-        start = row_next_fit_c(crow->s, crow->e, crow->len, est, duration);
-    } else {
-        double last = crow->len ? crow->e[crow->len - 1] : 0.0;
-        start = est >= last ? est : last;
-    }
+    double start = slot_c(eg, proc, est, duration, use_insertion);
     *start_out = start;
     *finish_out = start + duration;
     return 0;
@@ -1761,24 +1887,8 @@ Engine_evaluate_with_parents(EngineObject *eg, PyObject *args)
     return Py_BuildValue("(dd)", start, finish);
 }
 
-static int
-plog_append(EngineObject *eg, Py_ssize_t ti)
-{
-    if (eg->plog_len >= eg->plog_cap) {
-        Py_ssize_t nc = eg->plog_cap ? eg->plog_cap * 2 : 64;
-        Py_ssize_t *np_ = PyMem_Realloc(eg->plog,
-                                        (size_t)nc * sizeof(Py_ssize_t));
-        if (np_ == NULL) { PyErr_NoMemory(); return -1; }
-        eg->plog = np_;
-        eg->plog_cap = nc;
-    }
-    eg->plog[eg->plog_len++] = ti;
-    return 0;
-}
-
-/* _commit_comms + _place, fused: books ports and the compute window,
- * records the placement, and returns the transfer events as a list of
- * (edge_ix, src_proc, start, duration). */
+/* SchedulerState.commit: books the transfers and the compute window of
+ * a candidate evaluated against the current committed state. */
 static PyObject *
 Engine_commit(EngineObject *eg, PyObject *args)
 {
@@ -1786,30 +1896,17 @@ Engine_commit(EngineObject *eg, PyObject *args)
     double start, finish;
     if (!PyArg_ParseTuple(args, "nndd:commit", &ti, &proc, &start, &finish))
         return NULL;
-    if (check_ti(eg, ti) < 0 || check_proc(eg, proc) < 0)
+    if (check_ti(eg, ti) < 0 || check_proc(eg, proc) < 0 ||
+        check_unplaced(eg, ti) < 0)
         return NULL;
     Py_ssize_t np_ = resolve_parents(eg, ti);
-    if (np_ < 0)
+    if (np_ < 0 || commit_c(eg, ti, proc, np_, start, finish) < 0)
         return NULL;
-    eg->gen += 1;  /* stale any tentative data */
-    eg->ev_len = 0;
-    int err = 0;
-    commit_est_dispatch(eg, eg->par, np_, proc, &err);
-    if (err)
-        return NULL;
-    eg->c_commits++;
-    if (book_c(eg, proc, start, finish) < 0)
-        return NULL;
-    eg->proc_a[ti] = proc;
-    eg->start_a[ti] = start;
-    eg->finish_a[ti] = finish;
-    if (eg->plog_active && plog_append(eg, ti) < 0)
-        return NULL;
-    return events_to_list(eg);
+    Py_RETURN_NONE;
 }
 
 /* SchedulerState.schedule_on: evaluate-and-commit on a fixed processor.
- * Returns (start, finish, events). */
+ * Returns (start, finish). */
 static PyObject *
 Engine_schedule_on(EngineObject *eg, PyObject *args)
 {
@@ -1818,40 +1915,173 @@ Engine_schedule_on(EngineObject *eg, PyObject *args)
     if (!PyArg_ParseTuple(args, "nnp:schedule_on", &ti, &proc,
                           &use_insertion))
         return NULL;
-    if (check_ti(eg, ti) < 0 || check_proc(eg, proc) < 0)
+    if (check_ti(eg, ti) < 0 || check_proc(eg, proc) < 0 ||
+        check_unplaced(eg, ti) < 0)
         return NULL;
     Py_ssize_t np_ = resolve_parents(eg, ti);
     if (np_ < 0)
         return NULL;
-    eg->gen += 1;
-    eg->ev_len = 0;
-    int err = 0;
-    double est = commit_est_dispatch(eg, eg->par, np_, proc, &err);
-    if (err)
+    double est;
+    if (commit_comms_c(eg, ti, proc, np_, &est) < 0)
         return NULL;
     double duration = eg->st->exec_[ti * eg->st->p + proc];
-    Row *crow = &eg->rows[proc];
-    double start;
-    if (use_insertion) {
-        start = row_next_fit_c(crow->s, crow->e, crow->len, est, duration);
-    } else {
-        double last = crow->len ? crow->e[crow->len - 1] : 0.0;
-        start = est >= last ? est : last;
-    }
+    double start = slot_c(eg, proc, est, duration, use_insertion);
     double finish = start + duration;
-    eg->c_commits++;
-    if (book_c(eg, proc, start, finish) < 0)
+    if (place_c(eg, ti, proc, start, finish) < 0)
         return NULL;
-    eg->proc_a[ti] = proc;
-    eg->start_a[ti] = start;
-    eg->finish_a[ti] = finish;
-    if (eg->plog_active && plog_append(eg, ti) < 0)
+    return Py_BuildValue("(dd)", start, finish);
+}
+
+/* SchedulerState.run_list: each interned task of order in turn goes
+ * through best_candidate's sweep over every processor and is committed
+ * at the winner -- the per-task loop in one call.  Returns the chosen
+ * processors.  A failing task raises what the per-task calls raise and
+ * leaves the tasks before it committed. */
+static PyObject *
+Engine_run_list(EngineObject *eg, PyObject *args)
+{
+    PyObject *order_o;
+    int use_insertion;
+    if (!PyArg_ParseTuple(args, "Op:run_list", &order_o, &use_insertion))
         return NULL;
-    PyObject *events = events_to_list(eg);
-    if (events == NULL)
+    /* a private tuple: converting an item cannot resize it under us */
+    PyObject *order = PySequence_Tuple(order_o);
+    if (order == NULL)
         return NULL;
-    PyObject *res = Py_BuildValue("(ddN)", start, finish, events);
-    return res;
+    Py_ssize_t n = PyTuple_GET_SIZE(order);
+    PyObject *procs = PyList_New(n);
+    if (procs == NULL) {
+        Py_DECREF(order);
+        return NULL;
+    }
+    for (Py_ssize_t k = 0; k < n; k++) {
+        Py_ssize_t ti = PyNumber_AsSsize_t(PyTuple_GET_ITEM(order, k),
+                                           PyExc_OverflowError);
+        if (ti == -1 && PyErr_Occurred())
+            goto fail;
+        if (check_ti(eg, ti) < 0 || check_unplaced(eg, ti) < 0)
+            goto fail;
+        Py_ssize_t np_ = resolve_parents(eg, ti);
+        Py_ssize_t bp;
+        double bs, bf;
+        if (np_ < 0 ||
+            sweep_c(eg, ti, np_, use_insertion, NULL, eg->st->p, &bp, &bs,
+                    &bf) < 0)
+            goto fail;
+        if (bp < 0) {
+            PyErr_Format(SCHED_ERR, "no candidate processors for task #%zd",
+                         ti);
+            goto fail;
+        }
+        if (commit_c(eg, ti, bp, np_, bs, bf) < 0)
+            goto fail;
+        PyObject *v = PyLong_FromSsize_t(bp);
+        if (v == NULL)
+            goto fail;
+        PyList_SET_ITEM(procs, k, v);
+    }
+    Py_DECREF(order);
+    return procs;
+fail:
+    Py_DECREF(order);
+    Py_DECREF(procs);
+    return NULL;
+}
+
+/* SchedulerState._parents: ti's parent rows (finish, parent, edge,
+ * proc) sorted by (finish, parent) */
+static PyObject *
+Engine_parents(EngineObject *eg, PyObject *args)
+{
+    Py_ssize_t ti;
+    if (!PyArg_ParseTuple(args, "n:parents", &ti))
+        return NULL;
+    if (check_ti(eg, ti) < 0)
+        return NULL;
+    Py_ssize_t np_ = resolve_parents(eg, ti);
+    if (np_ < 0)
+        return NULL;
+    PyObject *out = PyList_New(np_);
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t k = 0; k < np_; k++) {
+        PRow *r = &eg->par[k];
+        PyObject *t = Py_BuildValue("(dnnn)", r->fin, r->pi, r->e, r->pp);
+        if (t == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyList_SET_ITEM(out, k, t);
+    }
+    return out;
+}
+
+/* SchedulerState._records: the schedule's records from the logs --
+ * ({task: TaskPlacement} in commit order, [CommEvent] in booking order)
+ * -- built by new_record.  tasks is KernelStatics.tasks; every event is
+ * a direct transfer (hop 0) into its consuming task's processor. */
+static PyObject *
+Engine_records(EngineObject *eg, PyObject *args)
+{
+    PyTypeObject *pcls, *ecls;
+    PyObject *tasks;
+    if (!PyArg_ParseTuple(args, "O!O!O!:records", &PyType_Type, &pcls,
+                          &PyType_Type, &ecls, &PyList_Type, &tasks))
+        return NULL;
+    if (check_record_cls(pcls) < 0 || check_record_cls(ecls) < 0)
+        return NULL;
+    StaticsObject *st = eg->st;
+    if (PyList_GET_SIZE(tasks) != st->n) {
+        PyErr_Format(PyExc_ValueError, "records: %zd tasks, expected %zd",
+                     PyList_GET_SIZE(tasks), st->n);
+        return NULL;
+    }
+    PyObject *placements = PyDict_New();
+    PyObject *events = PyList_New(eg->ev_len);
+    PyObject *zero = PyLong_FromLong(0);
+    if (placements == NULL || events == NULL || zero == NULL)
+        goto fail;
+    for (Py_ssize_t k = 0; k < eg->plog_len; k++) {
+        Py_ssize_t ti = eg->plog[k];
+        PyObject *f[4] = {PyList_GET_ITEM(tasks, ti),
+                          PyLong_FromSsize_t(eg->proc_a[ti]),
+                          PyFloat_FromDouble(eg->start_a[ti]),
+                          PyFloat_FromDouble(eg->finish_a[ti])};
+        PyObject *rec = f[1] && f[2] && f[3] ? new_record(pcls, f, 4) : NULL;
+        Py_XDECREF(f[1]);
+        Py_XDECREF(f[2]);
+        Py_XDECREF(f[3]);
+        int rc = rec ? PyDict_SetItem(placements, f[0], rec) : -1;
+        Py_XDECREF(rec);
+        if (rc < 0)
+            goto fail;
+    }
+    for (Py_ssize_t k = 0; k < eg->ev_len; k++) {
+        EvRec *ev = &eg->ev[k];
+        PyObject *f[8] = {PyList_GET_ITEM(tasks, st->esrc[ev->e]),
+                          PyList_GET_ITEM(tasks, ev->ti),
+                          PyLong_FromSsize_t(ev->q),
+                          PyLong_FromSsize_t(eg->proc_a[ev->ti]),
+                          PyFloat_FromDouble(ev->t),
+                          PyFloat_FromDouble(ev->t + ev->dur),
+                          PyFloat_FromDouble(st->edata[ev->e]),
+                          zero};
+        PyObject *rec = NULL;
+        if (f[2] && f[3] && f[4] && f[5] && f[6])
+            rec = new_record(ecls, f, 8);
+        for (int j = 2; j < 7; j++)
+            Py_XDECREF(f[j]);
+        if (rec == NULL)
+            goto fail;
+        PyList_SET_ITEM(events, k, rec);
+    }
+    Py_DECREF(zero);
+    return Py_BuildValue("(NN)", placements, events);
+fail:
+    Py_XDECREF(placements);
+    Py_XDECREF(events);
+    Py_XDECREF(zero);
+    return NULL;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1864,27 +2094,24 @@ Engine_mark(EngineObject *eg, PyObject *Py_UNUSED(ignored))
     if (eg->mark_depth == 0)
         eg->log_len = 0;  /* builder.mark: log = [] when None */
     eg->mark_depth += 1;
-    if (!eg->plog_active) {
-        eg->plog_active = 1;
-        eg->plog_len = 0;
-    }
-    return Py_BuildValue("(nn)", eg->log_len, eg->plog_len);
+    return Py_BuildValue("(nnn)", eg->log_len, eg->plog_len, eg->ev_len);
 }
 
-/* FlatBuilder.rollback + the placement part of SchedulerState.restore.
- * Returns (entries_undone, [task_ix...]) with tasks in undo order. */
+/* FlatBuilder.rollback + SchedulerState.restore: undo the bookings after
+ * the journal cursor, unplace the tasks logged after the placement
+ * cursor and drop the transfers logged after the event cursor. */
 static PyObject *
 Engine_rollback(EngineObject *eg, PyObject *args)
 {
-    Py_ssize_t cursor, pcursor;
-    if (!PyArg_ParseTuple(args, "nn:rollback", &cursor, &pcursor))
+    Py_ssize_t cursor, pcursor, ecursor;
+    if (!PyArg_ParseTuple(args, "nnn:rollback", &cursor, &pcursor, &ecursor))
         return NULL;
     if (eg->mark_depth == 0) {
         PyErr_SetString(TIMELINE_ERR, "rollback without an active mark");
         return NULL;
     }
     if (cursor < 0 || cursor > eg->log_len || pcursor < 0 ||
-        pcursor > eg->plog_len) {
+        pcursor > eg->plog_len || ecursor < 0 || ecursor > eg->ev_len) {
         PyErr_SetString(PyExc_ValueError, "bad rollback cursor");
         return NULL;
     }
@@ -1911,29 +2138,33 @@ Engine_rollback(EngineObject *eg, PyObject *args)
     eg->mark_depth -= 1;
     eg->gen += 1;
     eg->commit_count += 1;
-    PyObject *undone = PyList_New(eg->plog_len - pcursor);
-    if (undone == NULL)
-        return NULL;
-    Py_ssize_t idx = 0;
-    for (Py_ssize_t i = eg->plog_len - 1; i >= pcursor; i--) {
-        Py_ssize_t ti = eg->plog[i];
-        eg->proc_a[ti] = -1;
-        PyObject *v = PyLong_FromSsize_t(ti);
-        if (v == NULL) {
-            Py_DECREF(undone);
-            return NULL;
-        }
-        PyList_SET_ITEM(undone, idx++, v);
-    }
+    for (Py_ssize_t i = pcursor; i < eg->plog_len; i++)
+        eg->proc_a[eg->plog[i]] = -1;
     eg->plog_len = pcursor;
-    if (eg->mark_depth == 0)
-        eg->plog_active = 0;
-    return Py_BuildValue("(nN)", entries, undone);
+    eg->ev_len = ecursor;
+    Py_RETURN_NONE;
+}
+
+/* copy of a log's n live entries of size bytes each (NULL when empty) */
+static int
+copy_log(void **dst, Py_ssize_t *cap, const void *src, Py_ssize_t n,
+         size_t size)
+{
+    if (n == 0)
+        return 0;
+    *dst = PyMem_Malloc((size_t)n * size);
+    if (*dst == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memcpy(*dst, src, (size_t)n * size);
+    *cap = n;
+    return 0;
 }
 
 /* independent deep copy of committed state (FlatBuilder.copy +
  * booker.rebind semantics: fresh tentative layers, fresh seed memo,
- * no journal, counters zeroed) */
+ * no journal, counters zeroed), placement and event logs included */
 static PyObject *
 Engine_copy(EngineObject *eg, PyObject *Py_UNUSED(ignored))
 {
@@ -1964,6 +2195,15 @@ Engine_copy(EngineObject *eg, PyObject *Py_UNUSED(ignored))
     memcpy(dup->proc_a, eg->proc_a, (size_t)eg->st->n * sizeof(Py_ssize_t));
     memcpy(dup->start_a, eg->start_a, (size_t)eg->st->n * sizeof(double));
     memcpy(dup->finish_a, eg->finish_a, (size_t)eg->st->n * sizeof(double));
+    if (copy_log((void **)&dup->plog, &dup->plog_cap, eg->plog, eg->plog_len,
+                 sizeof(Py_ssize_t)) < 0 ||
+        copy_log((void **)&dup->ev, &dup->ev_cap, eg->ev, eg->ev_len,
+                 sizeof(EvRec)) < 0) {
+        Py_DECREF(dup);
+        return NULL;
+    }
+    dup->plog_len = eg->plog_len;
+    dup->ev_len = eg->ev_len;
     return (PyObject *)dup;
 }
 
@@ -2124,6 +2364,9 @@ static PyMethodDef Engine_methods[] = {
      METH_VARARGS, NULL},
     {"commit", (PyCFunction)Engine_commit, METH_VARARGS, NULL},
     {"schedule_on", (PyCFunction)Engine_schedule_on, METH_VARARGS, NULL},
+    {"run_list", (PyCFunction)Engine_run_list, METH_VARARGS, NULL},
+    {"parents", (PyCFunction)Engine_parents, METH_VARARGS, NULL},
+    {"records", (PyCFunction)Engine_records, METH_VARARGS, NULL},
     {"mark", (PyCFunction)Engine_mark, METH_NOARGS, NULL},
     {"rollback", (PyCFunction)Engine_rollback, METH_VARARGS, NULL},
     {"copy", (PyCFunction)Engine_copy, METH_NOARGS, NULL},
@@ -2461,22 +2704,10 @@ static PyTypeObject OneShot_Type = {
 /* records: schedule output tuples                                    */
 /* ------------------------------------------------------------------ */
 
-/* A field the cyclic collector could reach a cycle through: CPython's
- * own test when it untracks a tuple (_PyObject_GC_MAY_BE_TRACKED). */
-static inline int
-may_be_tracked(PyObject *x)
-{
-    return PyObject_IS_GC(x) && (!PyTuple_CheckExact(x) || PyObject_GC_IsTracked(x));
-}
-
 /* records(cls, rows) == [tuple.__new__(cls, row) for row in rows] for a
  * tuple subclass without instance slots (TaskPlacement, CommEvent) and
- * tuple rows.  A record none of whose fields may be tracked (task ids,
- * processor indices, times) can never be on a reference cycle, so it is
- * left untracked — what CPython does for a plain tuple at its first
- * collection but never for a subclass.  Tracked, each record alive at a
- * generation-1 collection is promoted and counts toward the next full
- * collection; replay builds thousands of them per call. */
+ * tuple rows, all-atomic records untracked (new_record); replay builds
+ * thousands of them per call. */
 static PyObject *
 cext_records(PyObject *Py_UNUSED(mod), PyObject *args)
 {
@@ -2484,13 +2715,8 @@ cext_records(PyObject *Py_UNUSED(mod), PyObject *args)
     PyObject *rows;
     if (!PyArg_ParseTuple(args, "O!O:records", &PyType_Type, &cls, &rows))
         return NULL;
-    if (!PyType_IsSubtype(cls, &PyTuple_Type) ||
-        cls->tp_basicsize != PyTuple_Type.tp_basicsize || cls->tp_dictoffset != 0) {
-        PyErr_Format(PyExc_TypeError,
-                     "records: %s is not a tuple subclass without instance slots",
-                     cls->tp_name);
+    if (check_record_cls(cls) < 0)
         return NULL;
-    }
     PyObject *out = PyList_New(0);
     PyObject *it = out ? PyObject_GetIter(rows) : NULL;
     if (it == NULL) {
@@ -2505,23 +2731,11 @@ cext_records(PyObject *Py_UNUSED(mod), PyObject *args)
             Py_DECREF(row);
             break;
         }
-        Py_ssize_t n = PyTuple_GET_SIZE(row);
-        PyObject *rec = cls->tp_alloc(cls, n);
-        if (rec == NULL) {
-            Py_DECREF(row);
-            break;
-        }
-        int leaf = 1;
-        for (Py_ssize_t k = 0; k < n; k++) {
-            PyObject *x = PyTuple_GET_ITEM(row, k);
-            Py_INCREF(x);
-            PyTuple_SET_ITEM(rec, k, x);
-            if (leaf && may_be_tracked(x))
-                leaf = 0;
-        }
+        PyObject *rec = new_record(cls, PySequence_Fast_ITEMS(row),
+                                   PyTuple_GET_SIZE(row));
         Py_DECREF(row);
-        if (leaf)
-            PyObject_GC_UnTrack(rec);
+        if (rec == NULL)
+            break;
         int rc = PyList_Append(out, rec);
         Py_DECREF(rec);
         if (rc < 0)

@@ -149,11 +149,11 @@ class TestEngineRowsOracle:
     def test_rollback_restores_the_row(self):
         row = _gappy_row(192)
         before = row.eng.committed(0)
-        cursor, pcursor = row.eng.mark()
+        mark = row.eng.mark()
         ref_cursor = row.ref.mark()
         row.book(3.2, 3.4)
         row.book(401.0, 402.0)
-        row.eng.rollback(cursor, pcursor)
+        row.eng.rollback(*mark)
         row.ref.rollback(ref_cursor)
         assert row.eng.committed(0) == before
         row.assert_queries_match(random.Random(9), 0.0)

@@ -150,3 +150,14 @@ def test_campaign_cells_identical_with_stats():
     assert off.stats is None
     assert on.stats is not None
     assert on.stats["counters"]["campaign.cells"] == 2
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", ["heft", "ilha", "pct"])
+def test_list_heuristics_record_both_phases(name, backend, paper_platform):
+    """Each list heuristic splits its run into a rank and a construct
+    phase span, on every backend."""
+    with use_backend(backend), collect() as stats:
+        get_scheduler(name).run(lu_graph(6), paper_platform, "one-port")
+    phases = [span[0] for span in stats.spans if span[0].startswith("phase.")]
+    assert phases == ["phase.statics", "phase.rank", "phase.construct"]
