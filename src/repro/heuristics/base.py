@@ -21,16 +21,23 @@ pure-Python reference, ``flat-python``) or the compiled
 (``flat-cext``) for the models it has a C booker for.
 
 :meth:`~SchedulerState.evaluate_all` is the batched sweep behind
-:meth:`~SchedulerState.best_candidate`: it resolves and sorts the
-task's parents once and books all processors in one pass.
+:meth:`~SchedulerState.best_candidate`, and
+:meth:`~SchedulerState.run_list` commits a whole list of tasks, each at
+its best candidate — the loop of HEFT, PCT and ILHA's Step 2, one
+engine call under ``cext``.  Commits append to a placement log and a
+transfer log; :attr:`~SchedulerState.schedule` builds the
+:class:`~repro.core.schedule.Schedule` from the two when it is read,
+so a heuristic builds it once, at the end of its run.
 :meth:`~SchedulerState.mark` / :meth:`~SchedulerState.restore` give
 O(changed) scratch runs (ILHA's chunk pre-allocation) through the
-builder's undo journal.
+builder's undo journal and cursors into the logs.
 
-:class:`ReadyQueue` maintains the ready set ordered by priority, and the
-:func:`register_scheduler` registry lets experiments construct heuristics
-by name.  :func:`make_model` re-exports the models registry's single
-resolution path.
+:class:`ReadyQueue` keeps the ready set as a heap over interned task
+indices and drains it whole (:meth:`~ReadyQueue.order`,
+:meth:`~ReadyQueue.chunks`) for heuristics that complete what they pop
+before popping again.  The :func:`register_scheduler` registry lets
+experiments construct heuristics by name.  :func:`make_model` re-exports
+the models registry's single resolution path.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from ..core.platform import Platform
 from ..core.schedule import CommEvent, Schedule, TaskPlacement
 from ..core.taskgraph import TaskGraph
 from ..kernel import compile_statics
+from ..kernel.backends import current_backend
 from ..kernel.builder import FlatBuilder, row_next_fit
 from ..models import make_model
 from ..models.base import CommunicationModel
@@ -111,8 +119,6 @@ class SchedulerState:
 
     def __new__(cls, graph, platform, model, heuristic="", insertion=True):
         if cls is SchedulerState:
-            from ..kernel.backends import current_backend
-
             cls = current_backend().state_class(model) or cls
         return object.__new__(cls)
 
@@ -186,8 +192,6 @@ class SchedulerState:
     def _records(self) -> tuple[dict, list]:
         """``({task: TaskPlacement}, [CommEvent])`` from the logs, built
         by the active backend's :meth:`~repro.kernel.backends.KernelBackend.records`."""
-        from ..kernel.backends import current_backend
-
         records = current_backend().records
         kernel = self.kernel
         tasks, esrc, edst, edata = kernel.tasks, kernel.esrc, kernel.edst, kernel.edata
@@ -665,18 +669,15 @@ class ReadyQueue:
 
     def complete(self, task: TaskId) -> list[TaskId]:
         """Mark ``task`` done; enqueue and return newly-ready children."""
-        tasks = self._tasks
-        return [tasks[c] for c in self._complete(self._index[task])]
-
-    def _complete(self, i: int) -> list[int]:
-        heap, keys, remaining, edst = self._heap, self._keys, self._remaining, self._edst
+        heap, keys, remaining, edst, tasks = (
+            self._heap, self._keys, self._remaining, self._edst, self._tasks)
         newly = []
-        for e in self._succ_rows[i]:
+        for e in self._succ_rows[self._index[task]]:
             c = edst[e]
             remaining[c] -= 1
             if not remaining[c]:
                 heapq.heappush(heap, (keys[c], c))
-                newly.append(c)
+                newly.append(tasks[c])
         return newly
 
     def chunks(self, size: int) -> list[list[int]]:
@@ -687,12 +688,18 @@ class ReadyQueue:
         sees exactly this sequence, so it depends only on the graph, the
         key and ``size`` (ILHA's chunks of ``B``).
         """
-        heap, pop, complete = self._heap, heapq.heappop, self._complete
+        heap, keys, remaining = self._heap, self._keys, self._remaining
+        succ_rows, edst = self._succ_rows, self._edst
+        pop, push = heapq.heappop, heapq.heappush
         out = []
         while heap:
             chunk = [pop(heap)[1] for _ in range(min(size, len(heap)))]
             for i in chunk:
-                complete(i)
+                for e in succ_rows[i]:
+                    c = edst[e]
+                    remaining[c] -= 1
+                    if not remaining[c]:
+                        push(heap, (keys[c], c))
             out.append(chunk)
         return out
 

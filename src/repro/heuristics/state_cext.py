@@ -3,13 +3,15 @@
 :class:`CextSchedulerState` routes every hot operation — parent
 resolution, the all-processor candidate sweep with maxpf / frontier /
 in-trial pruning, the model bookers' ``trial_est`` / ``commit_est``
-fixed points (seed memo included), gap search, commit, and the undo
-journal — through one :class:`repro.kernel._cext.Engine` instance: a C
-struct of typed arrays with no Python objects in the inner loop.  The
-Python layer keeps only what the rest of the package reads — the
-:class:`~repro.core.schedule.Schedule` under construction, the
-placement mirrors behind :meth:`parents_info` / :meth:`parent_procs`,
-and a FlatBuilder-shaped facade for tests and debugging.
+fixed points (seed memo included), gap search, commit, whole lists
+(:meth:`run_list`: one ``Engine.run_list`` call), and the undo journal
+— through one :class:`repro.kernel._cext.Engine` instance: a C struct
+of typed arrays with no Python objects in the inner loop.  The engine
+also owns the placements and the placement and transfer logs: commits
+create no Python objects, ``mark`` / ``restore`` / ``snapshot`` carry
+the logs, and :attr:`schedule` is built from them in C when read
+(``Engine.records``).  The Python layer keeps only a FlatBuilder-shaped
+facade for tests and debugging.
 
 Bit-identity: the C engine transliterates the scalar reference
 (``builder.py``, the flat bookers, ``SchedulerState``'s sweep) —
@@ -22,8 +24,11 @@ heuristic × flat model × testbed.
 Observability: the engine accumulates the booking counters internally
 (one C increment instead of a Python dict update per event) and this
 wrapper flushes the *deltas* into the active collector after each
-public call, so stats-on runs see the exact counters the python path
-emits while stats-off runs pay nothing.
+committing call — once per list for :meth:`run_list` — so stats-on runs
+see the exact counters the python path emits while stats-off runs pay
+nothing.  Under :func:`~repro.obs.stage_detail_scope` :meth:`run_list`
+takes the per-task reference loop, so the ``stage.*`` timers keep
+their meaning.
 """
 
 from __future__ import annotations
@@ -186,6 +191,9 @@ class CextSchedulerState(SchedulerState):
     # ------------------------------------------------------------------
     def _parents(self, ti: int) -> list[tuple[float, int, int, int]]:
         return self._eng.parents(ti)
+
+    def parent_procs(self, task: TaskId) -> set[int]:
+        return self._eng.parent_procs(self.kernel.intern(task))
 
     def evaluate(
         self,

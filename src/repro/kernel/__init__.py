@@ -61,7 +61,8 @@ Who routes through the kernel
   EFT engine runs entirely on :class:`FlatBuilder` rows for every
   registered communication model: candidate trials, port bookings
   (routed multi-hop chains included), compute slots, placements and
-  finish times are all flat arrays over the statics' interned ids.
+  finish times are all flat arrays over the statics' interned ids,
+  and the schedule is built once from the commit logs.
 
 The kernel computes bit-identical times to the object-level replay:
 same ``max`` over the same operands, same single addition per node —

@@ -4,8 +4,10 @@
  * hot sequential path of the flat construction kernel — gap search,
  * trial/commit/undo booking primitives, the one-port booker's
  * trial_est/commit_est (including the per-edge send-feasibility seed
- * memo), and the all-processor candidate sweep with its
- * maxpf/frontier/in-trial pruning — transliterated from
+ * memo), the all-processor candidate sweep with its
+ * maxpf/frontier/in-trial pruning, whole lists of sweep-and-commit
+ * (Engine.run_list), and the placement and transfer logs a schedule
+ * is built from (Engine.records) — transliterated from
  * kernel/builder.py, models/one_port.py, models/base.py,
  * models/macro_dataflow.py and heuristics/base.py; plus the timed
  * kernel's two passes from kernel/timed.py: the one-shot forward pass
@@ -2016,6 +2018,41 @@ Engine_parents(EngineObject *eg, PyObject *args)
     return out;
 }
 
+/* SchedulerState.parent_procs: the set of processors hosting ti's
+ * parents (ILHA's Step 1 test, once per chunk task) */
+static PyObject *
+Engine_parent_procs(EngineObject *eg, PyObject *args)
+{
+    Py_ssize_t ti;
+    if (!PyArg_ParseTuple(args, "n:parent_procs", &ti))
+        return NULL;
+    if (check_ti(eg, ti) < 0)
+        return NULL;
+    StaticsObject *st = eg->st;
+    PyObject *out = PySet_New(NULL);
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t k = st->pred_ptr[ti]; k < st->pred_ptr[ti + 1]; k++) {
+        Py_ssize_t pi = st->esrc[st->pred_eix[k]];
+        Py_ssize_t pp = eg->proc_a[pi];
+        if (pp < 0) {
+            PyErr_Format(SCHED_ERR,
+                         "task #%zd evaluated before its parent #%zd was "
+                         "scheduled", ti, pi);
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyObject *v = PyLong_FromSsize_t(pp);
+        int rc = v ? PySet_Add(out, v) : -1;
+        Py_XDECREF(v);
+        if (rc < 0) {
+            Py_DECREF(out);
+            return NULL;
+        }
+    }
+    return out;
+}
+
 /* SchedulerState._records: the schedule's records from the logs --
  * ({task: TaskPlacement} in commit order, [CommEvent] in booking order)
  * -- built by new_record.  tasks is KernelStatics.tasks; every event is
@@ -2366,6 +2403,7 @@ static PyMethodDef Engine_methods[] = {
     {"schedule_on", (PyCFunction)Engine_schedule_on, METH_VARARGS, NULL},
     {"run_list", (PyCFunction)Engine_run_list, METH_VARARGS, NULL},
     {"parents", (PyCFunction)Engine_parents, METH_VARARGS, NULL},
+    {"parent_procs", (PyCFunction)Engine_parent_procs, METH_VARARGS, NULL},
     {"records", (PyCFunction)Engine_records, METH_VARARGS, NULL},
     {"mark", (PyCFunction)Engine_mark, METH_NOARGS, NULL},
     {"rollback", (PyCFunction)Engine_rollback, METH_VARARGS, NULL},

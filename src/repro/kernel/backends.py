@@ -50,8 +50,8 @@ class KernelBackend:
     point-form kernel resolves at its first sweep.  ``None`` from any
     of them means the pure-Python reference.  Classes are resolved
     lazily so registering a backend never imports the heuristics layer
-    at module-load time.  ``records(cls, rows)`` builds replay's output
-    records.
+    at module-load time.  ``records(cls, rows)`` builds the output
+    records of replay and of the python tier's ``SchedulerState.schedule``.
     """
 
     name = ""

@@ -5,8 +5,9 @@ reference it must match and the fallback when it is not built.
 
 :mod:`repro.kernel._cext` is a hand-written CPython extension holding
 the hot sequential booking loop — the FlatBuilder primitives, the flat
-bookers of the four flat models, and the all-processor candidate sweep
-— as one C engine over typed arrays, plus both timed-kernel passes:
+bookers of the four flat models, the all-processor candidate sweep and
+whole sweep-and-commit lists, with the logs a schedule is built from —
+as one C engine over typed arrays, plus both timed-kernel passes:
 the one-shot forward pass (``OneShot``: the packed constraint DAG of
 one ``TimedKernel``, behind replay, plan install and online
 re-prediction) and the point sweep (``Statics.point_pass``, behind

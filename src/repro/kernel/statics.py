@@ -24,7 +24,9 @@ structures:
 Statics are cached per (graph, platform) on the graph itself (see
 :func:`compile_statics`) and invalidated on graph mutation, so replay,
 the incremental evaluator, and the list heuristics all share one
-compilation.
+compilation.  The Section 4.1 bottom levels (:attr:`KernelStatics.ranks`)
+are cached alongside on first use, so HEFT, ILHA and PCT on one
+(graph, platform) pair rank it once.
 """
 
 from __future__ import annotations
