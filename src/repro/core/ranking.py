@@ -16,6 +16,7 @@ define the iso-level decomposition of the first ILHA variant.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Hashable, Mapping, Sequence
 
 from .platform import Platform
@@ -105,8 +106,9 @@ def bottom_levels(graph: TaskGraph, platform: Platform) -> dict[TaskId, float]:
 
     Computed once per (graph, platform) on the interned statics and
     cached there as :attr:`~repro.kernel.statics.KernelStatics.ranks`
-    (dropped with the statics when the graph mutates); each call returns
-    a fresh dict of the cached floats.
+    (dropped with the statics when the graph mutates), as an
+    ``array('d')``: a graph kept for reuse holds 8 bytes per task, not a
+    float object.  Each call returns a fresh dict of the cached floats.
     """
     from ..kernel.statics import compile_statics
 
@@ -114,13 +116,14 @@ def bottom_levels(graph: TaskGraph, platform: Platform) -> dict[TaskId, float]:
     ranks = kernel.ranks
     if ranks is None:
         act, alt = platform.average_cycle_time(), platform.average_link_time()
-        ranks = kernel.ranks = _levels(
+        levels = _levels(
             kernel.topo_ix,
             kernel.succ_rows,
             kernel.edst,
             [w * act for w in kernel.weights],
             [d * alt for d in kernel.edata],
         )
+        ranks = kernel.ranks = array("d", levels)
     return dict(zip(kernel.tasks, ranks))
 
 

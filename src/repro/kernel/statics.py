@@ -166,10 +166,10 @@ class KernelStatics:
         #: True when every link is finite: hot loops skip the per-edge
         #: ``isfinite`` guard that partially connected platforms need.
         self.all_links_finite: bool = platform.is_fully_connected()
-        #: Section 4.1 bottom levels per task index, computed on first
-        #: use by :func:`repro.core.ranking.bottom_levels` and shared by
-        #: every heuristic run on this (graph, platform) pair.
-        self.ranks: list[float] | None = None
+        #: Section 4.1 bottom levels per task index (an ``array('d')``),
+        #: computed on first use by :func:`repro.core.ranking.bottom_levels`
+        #: and shared by every heuristic run on this (graph, platform) pair.
+        self.ranks = None
         #: Lazily-built flattened mirror for the compiled backend (see
         #: :func:`repro.kernel.cext_backend.engine_statics`).
         self._cext = None

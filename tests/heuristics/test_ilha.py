@@ -122,6 +122,25 @@ class TestStepOne:
         assert counts.is_complete() and weights.is_complete()
 
 
+    def test_counts_budget_once_per_chunk_length(self, paper_platform, monkeypatch):
+        """The read-only counts budget is computed once per distinct
+        chunk length in a run, not once per chunk."""
+        import repro.heuristics.ilha as ilha_module
+
+        calls = []
+        real = ilha_module.optimal_distribution
+
+        def counting(n, cycle_times):
+            calls.append(n)
+            return real(n, cycle_times)
+
+        monkeypatch.setattr(ilha_module, "optimal_distribution", counting)
+        sched = ILHA(b=6).run(lu_graph(10), paper_platform)
+        validate_schedule(sched)
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) < len(sched.placements) / 2
+
+
 class TestVariants:
     @pytest.mark.parametrize(
         "kwargs",
