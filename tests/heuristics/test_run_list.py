@@ -113,18 +113,19 @@ class TestRunListErrors:
     def test_missing_link_fails_alike(self):
         """A 4-processor ring under one-port: HEFT commits its entry task,
         then a probe over a missing link raises PlatformError."""
-        graph = lu_graph(5)
+        graph, ring = lu_graph(5), _ring4()
+        bl = bottom_levels(graph, ring)
         observed = []
         for backend in ("python", "cext"):
-            state = _state(backend, graph, _ring4())
-            queue = ReadyQueue(graph, lambda v: (-bottom_levels(graph, _ring4())[v],))
+            state = _state(backend, graph, ring)
+            queue = ReadyQueue(graph, lambda v: -bl[v], state.kernel)
             with pytest.raises(PlatformError, match="no direct link"):
                 state.run_list(queue.order())
             observed.append(_observed(state))
             assert len(observed[-1][2]) == 1
         assert observed[0] == observed[1]
         with use_backend("cext"), pytest.raises(PlatformError):
-            get_scheduler("heft").run(graph, _ring4(), "one-port")
+            get_scheduler("heft").run(graph, ring, "one-port")
 
 
 class TestRunList:
