@@ -97,7 +97,16 @@ class Platform:
     experiments must build new platforms.
     """
 
-    __slots__ = ("_cycle_times", "_link_rows", "_p", "_frozen")
+    # ``_frozen`` stays last: unpickling restores slots in this order
+    __slots__ = (
+        "_cycle_times",
+        "_link_rows",
+        "_p",
+        "_fully_connected",
+        "_aggregate_speed",
+        "_average_link_time",
+        "_frozen",
+    )
 
     def __init__(self, cycle_times: Sequence[float], link: float | Sequence[Sequence[float]] = 1.0):
         cts = tuple(float(t) for t in cycle_times)
@@ -129,6 +138,27 @@ class Platform:
         # Tuples, because compiled statics share this reference: any
         # attempted in-place mutation is an immediate TypeError.
         self._link_rows: tuple[tuple[float, ...], ...] = rows
+
+        # Derived constants, computed once: every statics compile and
+        # every ranking reads them.
+        self._fully_connected = all(math.isfinite(x) for row in rows for x in row)
+        # left to right from 0.0: built-in ``sum()`` compensates its
+        # rounding from Python 3.12 on, which would move this float, and
+        # with it every bottom level, between interpreter versions
+        total = 0.0
+        for t in cts:
+            total += 1.0 / t
+        self._aggregate_speed = total
+        # NumPy's ``mean`` of the finite off-diagonal entries, bit for
+        # bit: a pairwise sum in row-major order, added to the
+        # reduction's identity 0.0 (which turns a ``-0.0`` sum into 0.0)
+        finite = [
+            x for q, row in enumerate(rows) for r, x in enumerate(row)
+            if q != r and math.isfinite(x)
+        ]
+        self._average_link_time = (
+            (0.0 + _pairwise_sum(finite)) / len(finite) if finite else 0.0
+        )
         self._frozen = True
 
     def __setattr__(self, name: str, value) -> None:
@@ -196,7 +226,7 @@ class Platform:
 
     def is_fully_connected(self) -> bool:
         """True when every processor pair has a direct finite link."""
-        return all(math.isfinite(x) for row in self._link_rows for x in row)
+        return self._fully_connected
 
     def _check_proc(self, proc: ProcId) -> None:
         if not (0 <= proc < self._p):
@@ -237,14 +267,10 @@ class Platform:
     def aggregate_speed(self) -> float:
         """``sum(1/t_i)`` — the platform's total relative speed.
 
-        Summed left to right from 0.0: built-in ``sum()`` compensates
-        its rounding from Python 3.12 on, which would move this float,
-        and with it every bottom level, between interpreter versions.
+        Summed left to right from 0.0, so the float is the same on every
+        Python version (see ``__init__``).
         """
-        total = 0.0
-        for t in self._cycle_times:
-            total += 1.0 / t
-        return total
+        return self._aggregate_speed
 
     def average_cycle_time(self) -> float:
         """Harmonic mean of the cycle times: ``p / sum(1/t_i)``.
@@ -265,19 +291,10 @@ class Platform:
         of the ``link`` entries.  Missing (``inf``) links are left out;
         with no finite link (a single processor, say) the average is 0.
 
-        The float is NumPy's ``mean`` of those entries, bit for bit: a
-        pairwise sum in row-major order, added to the reduction's
-        identity 0.0 (which turns a ``-0.0`` sum into ``0.0``).
+        The float is NumPy's ``mean`` of those entries, bit for bit (see
+        ``__init__``).
         """
-        vals = [
-            x
-            for q, row in enumerate(self._link_rows)
-            for r, x in enumerate(row)
-            if q != r and math.isfinite(x)
-        ]
-        if not vals:
-            return 0.0
-        return (0.0 + _pairwise_sum(vals)) / len(vals)
+        return self._average_link_time
 
     def fastest_processor(self) -> ProcId:
         """Index of a processor with the minimal cycle time (lowest index wins)."""

@@ -265,8 +265,16 @@ class TaskGraph:
         return [u for u, row in self._succ.items() if not row]
 
     def total_weight(self) -> float:
-        """Sum of all task weights (the paper's ``W`` for the whole graph)."""
-        return sum(self._weight.values())
+        """Sum of all task weights (the paper's ``W`` for the whole graph).
+
+        Summed left to right from 0.0: built-in ``sum()`` compensates its
+        rounding from Python 3.12 on, which would move this float, and
+        every lower bound and speedup built on it, between versions.
+        """
+        total = 0.0
+        for w in self._weight.values():
+            total += w
+        return total
 
     def total_data(self) -> float:
         """Sum of all edge data volumes."""

@@ -50,8 +50,11 @@ class CPOP(Scheduler):
         tl = top_levels(graph, platform)
         priority = {v: bl[v] + tl[v] for v in graph.tasks()}
 
-        cp_tasks = set(critical_path(graph, platform))
-        cp_weight = sum(graph.weight(v) for v in cp_tasks)
+        cp = critical_path(graph, platform)
+        cp_tasks = set(cp)
+        cp_weight = 0.0
+        for v in cp:  # path order: a set's order would follow the hash seed
+            cp_weight += graph.weight(v)
         cp_proc = min(
             platform.processors,
             key=lambda p: (cp_weight * platform.cycle_time(p), p),

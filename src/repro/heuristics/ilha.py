@@ -88,7 +88,10 @@ class _ChunkBudget:
             self.used = [0] * len(cycle_times)
             self.tracker = None
         else:
-            self.tracker = ChunkLoadTracker(sum(chunk_weights), cycle_times)
+            total = 0.0
+            for w in chunk_weights:  # left to right, as weight_shares (not sum())
+                total += w
+            self.tracker = ChunkLoadTracker(total, cycle_times)
 
     def fits(self, proc: int, weight: float) -> bool:
         if self.mode == "counts":

@@ -33,7 +33,8 @@ Layout
 * **Timed constraint DAG** (:class:`TimedKernel`): node ``i < n`` is
   task ``i``; node ``n + e`` is the transfer slot of edge ``e``, active
   only while the edge is remote.  Two forms share these indices.  The
-  *one-shot* form (``from_decisions``: replay decisions) stores
+  *one-shot* form (``from_decisions``: replay decisions, or
+  ``from_schedule``: a schedule's records) stores
   durations, in-degrees and one next pointer per resource order, and
   ``propagate_kahn`` runs one Kahn-order forward pass — the pass of
   replay and the online engine.  The *point* form (``from_point``: a

@@ -125,8 +125,8 @@ class CextBackend(KernelBackend):
         """``tk``'s one-shot constraint DAG packed for the compiled pass.
 
         The successor CSR over every node, in-degrees and ready entries
-        of a :meth:`~repro.kernel.timed.TimedKernel.from_decisions`
-        kernel; ``run(dur, out_start, out_finish)`` is then
+        of a one-shot kernel (``from_decisions`` or ``from_schedule``);
+        ``run(dur, out_start, out_finish)`` is then
         :meth:`~repro.kernel.timed.TimedKernel._kahn_loop` in C.
         """
         if _cext is None:

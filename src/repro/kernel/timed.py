@@ -12,8 +12,12 @@ It has two forms, one per builder:
 
 * **one-shot form** — :meth:`from_decisions` compiles arbitrary
   :class:`~repro.simulate.replay.ReplayDecisions` (direct transfers)
-  into durations, in-degrees and one "next" pointer per resource order;
-  :meth:`propagate_kahn` runs one forward pass in Kahn order.  It runs
+  into durations, in-degrees and one "next" pointer per resource order,
+  and :meth:`from_schedule` compiles a schedule's decisions straight
+  from its records (the same kernel as ``from_decisions`` of
+  ``extract_decisions``); both end in one linking step, :meth:`_link`,
+  which runs every check.  :meth:`propagate_kahn` runs one forward
+  pass in Kahn order.  It runs
   compiled when the active kernel backend provides a one-shot pass
   (``cext``: a packed successor CSR built once per kernel), and as the
   pure-Python :meth:`_kahn_loop` otherwise — the reference and the
@@ -50,9 +54,10 @@ from .statics import KernelStatics
 
 
 class KernelIneligible(Exception):
-    """Raised by :meth:`TimedKernel.from_decisions` when the decision
-    set is outside the kernel's domain (multi-hop or unknown-edge
-    transfers); the caller falls back to the object-level replay."""
+    """Raised by :meth:`TimedKernel.from_decisions` and
+    :meth:`TimedKernel.from_schedule` when the decision set is outside
+    the kernel's domain (multi-hop or unknown-edge transfers); the
+    caller falls back to the object-level replay."""
 
 
 def _check_procs(alloc: list[int], num_procs: int) -> None:
@@ -115,19 +120,21 @@ class TimedKernel:
         self.alloc: list[int] = [0] * n
         self.active = bytearray(m)
         self.num_active = 0
-        #: Edge index per booked transfer, in decision insertion order
-        #: (``from_decisions`` only; parallels ``decisions.hops.items()``).
+        #: Edge index per booked transfer, in booking order (one-shot
+        #: form only: ``decisions.hops`` order for ``from_decisions``,
+        #: ``extract_decisions``' transfer order for ``from_schedule``).
         self.hop_list: list[int] = []
         #: ``(from_proc, to_proc)`` per entry of :attr:`hop_list` — the
         #: port pair each transfer occupies (online engine hook: a
         #: transfer activity seizes the send port of ``from_proc`` and
         #: the receive port of ``to_proc`` simultaneously).
         self.hop_procs: list[tuple[int, int]] = []
-        #: One-shot form (``from_decisions``): the duration per node, the
-        #: constraint in-degrees, and the next task on the same processor
-        #: per task / next transfer slot on the same send / receive port
-        #: per edge (-1 = none); graph successors come from the statics
-        #: CSR, so no per-replay adjacency is ever built.
+        #: One-shot form (``from_decisions`` / ``from_schedule``): the
+        #: duration per node, the constraint in-degrees, and the next
+        #: task on the same processor per task / next transfer slot on
+        #: the same send / receive port per edge (-1 = none); graph
+        #: successors come from the statics CSR, so no per-replay
+        #: adjacency is ever built.
         self.dur: list[float] | None = None
         self.indeg: list[int] | None = None
         self.next_proc: list[int] | None = None
@@ -165,54 +172,181 @@ class TimedKernel:
         (the caller falls back to the object-level replay); everything
         the object-level replay validates beyond that — missing tasks,
         local edges with transfers, remote edges without, inconsistent
-        orders — is checked here with identical errors.
+        orders — is checked by :meth:`_link` with identical errors.
         """
         self = cls(statics)
-        n, m = statics.num_tasks, statics.num_edges
-        tindex = statics.tindex
-        decided = decisions.alloc
-        try:
-            alloc = [decided[v] for v in statics.tasks]
-        except KeyError:
-            for v in statics.tasks:
-                if v not in decided:
-                    raise SchedulingError(f"decisions missing task {v!r}") from None
-            raise  # pragma: no cover - unreachable
-        _check_procs(alloc, statics.num_procs)
+        n = statics.num_tasks
+        tindex, tid_get = statics.tindex, statics.tid_index.get
+        hget = statics.hop0_node.get
+        hops = [(hget(key), key, a, b) for key, (a, b) in decisions.hops.items()]
+        # identity-keyed shortcut for the port rows below: the order
+        # lists reuse the exact key tuples of ``hops`` when extracted
+        # from a schedule, so ``id()`` lookups skip tuple re-hashing
+        nid_get = {id(key): node for node, key, _, _ in hops}.get
+        active = self.active
+
+        def proc_rows():
+            # row-level inline of KernelStatics.intern: identity listcomp
+            # first, one equality listcomp for the whole row on any miss
+            for tasks in decisions.proc_order.values():
+                row = [tid_get(id(t)) for t in tasks]
+                if None in row:
+                    row = [tindex[t] for t in tasks]
+                yield row
+
+        def port_rows(orders):
+            for keys in orders.values():
+                nodes = [nid_get(id(k)) for k in keys]
+                if None in nodes:
+                    # identity miss (caller-built orders): equality lookup,
+                    # then require the transfer to be booked — mirrors the
+                    # object-level replay, which KeyErrors on port entries
+                    # that are not booked transfers
+                    for i, key in enumerate(keys):
+                        if nodes[i] is None:
+                            node = hget(key)
+                            if node is None or not active[node - n]:
+                                raise KeyError(key)
+                            nodes[i] = node
+                yield nodes
+
+        return self._link(
+            list(map(decisions.alloc.get, statics.tasks)),
+            hops,
+            proc_rows(),
+            port_rows(decisions.send_order),
+            port_rows(decisions.recv_order),
+        )
+
+    @classmethod
+    def from_schedule(cls, statics: KernelStatics, schedule) -> "TimedKernel":
+        """Compile a schedule's decisions in one pass over its records.
+
+        Equals ``from_decisions(statics, extract_decisions(schedule))``
+        field for field, and raises what that pair raises: the orders
+        are the ones :func:`~repro.simulate.replay.extract_decisions`
+        sorts — each processor's tasks by ``(start, finish, task
+        index)``, the transfers by ``(start, finish, processors, task
+        indices, hop)`` — interned straight from the records, with no
+        decision dicts built.  ``statics`` must be compiled from the
+        schedule's graph.
+        """
+        self = cls(statics)
+        n = statics.num_tasks
+        tindex, tid_get = statics.tindex, statics.tid_index.get
+        num = schedule.platform.num_processors
+        alloc: list = [None] * n
+        placed = []
+        # as in extract_decisions, only placements on the platform's
+        # processors are ordered (an unknown task there is a KeyError);
+        # an out-of-range processor reaches _link's range check
+        for p in schedule.placements.values():
+            task, q = p.task, p.proc
+            i = tid_get(id(task))
+            if i is None:
+                i = tindex.get(task)
+            if 0 <= q < num:
+                if i is None:
+                    raise KeyError(task)
+                placed.append((q, p.start, p.finish, i))
+            if i is not None:
+                alloc[i] = q
+        # one sort for every processor's row: by processor, then the
+        # row key (start, finish, task index)
+        placed.sort()
+        proc_rows = []
+        last = None
+        for q, _, _, i in placed:
+            if q != last:
+                last = q
+                row = []
+                proc_rows.append(row)
+            row.append(i)
+
+        events = schedule.comm_events
+        keyed = []
+        for k, ev in enumerate(events):
+            si = tid_get(id(ev.src_task))
+            if si is None:
+                si = tindex[ev.src_task]
+            di = tid_get(id(ev.dst_task))
+            if di is None:
+                di = tindex[ev.dst_task]
+            keyed.append((ev.start, ev.finish, ev.src_proc, ev.dst_proc, si, di, ev.hop, k))
+        keyed.sort()
+        hget = statics.hop0_node.get
+        hops = []
+        send_rows: dict[int, list] = {}
+        recv_rows: dict[int, list] = {}
+        booked = bytearray(statics.num_edges)
+        unknown = set()
+        for item in keyed:
+            ev = events[item[-1]]
+            key = (ev.src_task, ev.dst_task, ev.hop)
+            node = hget(key)
+            if node is None:
+                duplicate = key in unknown
+                unknown.add(key)
+            else:
+                duplicate = booked[node - n]
+                booked[node - n] = 1
+            if duplicate:
+                raise SchedulingError(f"duplicate transfer {key} in schedule")
+            a, b = ev.src_proc, ev.dst_proc
+            if not 0 <= a < num:
+                raise KeyError(a)
+            if not 0 <= b < num:
+                raise KeyError(b)
+            hops.append((node, key, a, b))
+            send_rows.setdefault(a, []).append(node)
+            recv_rows.setdefault(b, []).append(node)
+        return self._link(alloc, hops, proc_rows, send_rows.values(), recv_rows.values())
+
+    def _link(self, alloc, hops, proc_rows, send_rows, recv_rows) -> "TimedKernel":
+        """The one-shot form's shared step: durations, in-degrees and the
+        next pointers, and every check of the decision content.
+
+        Takes interned decisions: ``alloc`` per task index (``None``:
+        not decided), ``hops`` as ``(transfer node or None, key,
+        from_proc, to_proc)`` in booking order, and each resource order
+        as a row of task indices (``proc_rows``) or transfer nodes (the
+        port rows).  The rows are consumed after the transfers are
+        booked, so a caller may intern them lazily against
+        :attr:`active`.
+        """
+        st = self.statics
+        n, m = st.num_tasks, st.num_edges
+        if None in alloc:
+            missing = st.tasks[alloc.index(None)]
+            raise SchedulingError(f"decisions missing task {missing!r}")
+        _check_procs(alloc, st.num_procs)
         self.alloc = alloc
         dur = self.dur = [0.0] * (n + m)
-        dur[:n] = [row[p] for row, p in zip(statics.exec_, alloc)]
+        dur[:n] = [row[p] for row, p in zip(st.exec_, alloc)]
 
         active = self.active
-        esrc, edst, edata = statics.esrc, statics.edst, statics.edata
-        link_rows = statics.link_rows
-        finite_links = statics.all_links_finite
-        num_procs = statics.num_procs
+        esrc, edst, edata = st.esrc, st.edst, st.edata
+        link_rows = st.link_rows
+        finite_links = st.all_links_finite
+        num_procs = st.num_procs
         # The successor structure is implicit: graph successors come from
         # the statics CSR (shared, never rebuilt), and each decision
         # order contributes at most one "next" pointer per resource.
         # Task in-degrees start from the precomputed precedence count.
-        indeg = statics.base_indeg + [0] * m
+        indeg = st.base_indeg + [0] * m
         self.indeg = indeg
         next_proc = self.next_proc = [-1] * n
         next_send = self.next_send = [-1] * m
         next_recv = self.next_recv = [-1] * m
-        hop_list = self.hop_list
-        hget = statics.hop0_node.get
-        # identity-keyed shortcut for the port loops below: the order
-        # lists reuse the exact key tuples of ``hops`` when extracted
-        # from a schedule, so ``id()`` lookups skip tuple re-hashing
-        node_by_id: dict[int, int] = {}
-        for key, (a, b) in decisions.hops.items():
-            node = hget(key)
+        hop_list, hop_procs = self.hop_list, self.hop_procs
+        for node, key, a, b in hops:
             if node is None:
                 u, v, hop = key
                 raise KernelIneligible(f"transfer ({u!r}, {v!r}, {hop})")
-            node_by_id[id(key)] = node
             e = node - n
             active[e] = 1
             hop_list.append(e)
-            self.hop_procs.append((a, b))
+            hop_procs.append((a, b))
             indeg[node] = 1
             if not (0 <= a < num_procs and 0 <= b < num_procs):
                 # match Platform._check_proc (negative list indices would
@@ -241,47 +375,26 @@ class TimedKernel:
             for e, src, consumer in zip(range(m), esrc, edst):
                 if alloc[src] == alloc[consumer]:
                     if active[e]:
-                        u, v = statics.edges[e]
+                        u, v = st.edges[e]
                         raise SchedulingError(
                             f"edge {u!r}->{v!r} is local but has transfers"
                         )
                 elif not active[e]:
-                    u, v = statics.edges[e]
+                    u, v = st.edges[e]
                     raise SchedulingError(f"remote edge {u!r}->{v!r} has no transfer")
 
-        # row-level inline of KernelStatics.intern: identity listcomp
-        # first, one equality listcomp for the whole row on any miss
-        tid_get = statics.tid_index.get
-        for tasks in decisions.proc_order.values():
-            row = [tid_get(id(t)) for t in tasks]
-            if None in row:
-                row = [tindex[t] for t in tasks]
+        for row in proc_rows:
             for a, b in zip(row, row[1:]):
                 if next_proc[a] >= 0:
                     # a task ordered on two processors: degenerate input,
                     # outside the one-next-pointer representation
-                    raise KernelIneligible(f"task {tasks[0]!r} multiply ordered")
+                    raise KernelIneligible(f"task {st.tasks[row[0]]!r} multiply ordered")
                 next_proc[a] = b
                 indeg[b] += 1
-        nid_get = node_by_id.get
-        for orders, nxt in (
-            (decisions.send_order, next_send),
-            (decisions.recv_order, next_recv),
-        ):
-            for keys in orders.values():
-                nodes = [nid_get(id(k)) for k in keys]
+        for rows, nxt in ((send_rows, next_send), (recv_rows, next_recv)):
+            for nodes in rows:
                 prev = -1
-                for i, node in enumerate(nodes):
-                    if node is None:
-                        # identity miss (caller-built orders): equality
-                        # lookup, then require the transfer to be booked —
-                        # mirrors the object-level replay, which KeyErrors
-                        # on port entries that are not booked transfers
-                        node = hget(keys[i])
-                        if node is None or not active[node - n]:
-                            raise KeyError(keys[i])
-                    elif not active[node - n]:
-                        raise KeyError(keys[i])
+                for node in nodes:
                     if prev >= 0:
                         if nxt[prev] >= 0:
                             raise KernelIneligible("transfer multiply ordered")
@@ -332,7 +445,7 @@ class TimedKernel:
         :meth:`propagate_kahn` walks — graph successors from the statics
         CSR (task nodes), the destination task (transfer slots), plus
         the next-pointer order edges — without materializing adjacency
-        lists for the whole DAG.  Requires :meth:`from_decisions`.
+        lists for the whole DAG.  Requires the one-shot form.
         """
         st = self.statics
         n = st.num_tasks
@@ -364,7 +477,8 @@ class TimedKernel:
         """Full forward pass in Kahn order; returns the makespan and
         raises :class:`SchedulingError` on cyclic orders.
 
-        Requires the one-shot form (:meth:`from_decisions`).  Without
+        Requires the one-shot form (:meth:`from_decisions` or
+        :meth:`from_schedule`).  Without
         arguments it sets the base plan state :attr:`start`,
         :attr:`finish` and :attr:`makespan`.
 

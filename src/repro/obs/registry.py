@@ -89,6 +89,9 @@ CATALOG: dict[str, tuple[str, str]] = {
     "phase.search.load": ("seconds", "incremental-evaluator kernel load"),
     "phase.search.run": ("seconds", "iterated local search main loop"),
     "phase.online.run": ("seconds", "online-engine event loop"),
+    "phase.online.replan": (
+        "seconds", "one replan that moved tasks: heuristic run + sub-plan install"),
+    "phase.online.install": ("seconds", "one plan install at a job's arrival"),
     "phase.campaign.run": ("seconds", "campaign execution wall time"),
     "phase.cell": ("seconds", "per-cell scheduler wall time"),
 }

@@ -38,6 +38,7 @@ from ..core.exceptions import ConfigurationError, SchedulingError
 from ..core.platform import Platform
 from ..kernel import TimedKernel, compile_statics
 from ..obs import current as _obs_current
+from ..obs import span as _obs_span
 from .metrics import JobMetrics, OnlineResult
 from .noise import NoiseModel, make_noise
 from .workload import Job, Workload
@@ -116,7 +117,12 @@ class _Resource:
 
 
 class JobState:
-    """Engine-side state of one submitted job."""
+    """Engine-side state of one submitted job.
+
+    Per-task state is indexed like ``statics.tasks`` (the job graph's
+    interning), so policies reach a task's activities by index and
+    never re-hash task ids.
+    """
 
     __slots__ = (
         "job",
@@ -128,6 +134,8 @@ class JobState:
         "task_acts",
         "in_comms",
         "kernel",
+        "plan_nodes",
+        "topo_done",
         "plan_offset",
         "planned_ms",
         "reschedules",
@@ -143,12 +151,22 @@ class JobState:
         self.done_tasks = 0
         self.first_start: float | None = None
         self.completion: float | None = None
-        #: Current activity per task id (replans swap entries).
-        self.task_acts: dict = {}
-        #: Incoming transfer activities per destination task id.
-        self.in_comms: dict = {}
+        n = statics.num_tasks
+        #: Current activity per task index (replans swap entries;
+        #: ``None`` until the task is first planned or dispatched).
+        self.task_acts: list[Activity | None] = [None] * n
+        #: Incoming transfer activities per destination task index
+        #: (``None`` until the task is first planned or dispatched).
+        self.in_comms: list[list[Activity] | None] = [None] * n
         #: The job's current plan kernel (``None`` for plan-less policies).
         self.kernel: TimedKernel | None = None
+        #: Full-graph node of each node of :attr:`kernel` when it is a
+        #: sub-plan (tasks, then transfer slots); ``None`` when the kernel
+        #: covers the full graph, whose node ids are the job's own.
+        self.plan_nodes: list[int] | None = None
+        #: Length of the finished prefix of ``statics.topo_ix`` seen by
+        #: the last movable-set walk (finished tasks stay finished).
+        self.topo_done = 0
         #: Absolute time the current plan's clock starts at.
         self.plan_offset = 0.0
         self.planned_ms = 0.0
@@ -414,7 +432,7 @@ class OnlineEngine:
             self._release(act)
 
     def build_plan_activities(
-        self, jstate: JobState, kern: TimedKernel
+        self, jstate: JobState, kern: TimedKernel, nodes: list[int] | None = None
     ) -> dict[int, Activity]:
         """Activities for every task and booked transfer of a compiled
         kernel, keyed by kernel node index.
@@ -422,18 +440,20 @@ class OnlineEngine:
         Shared by :meth:`install_plan` (full-graph kernel) and the
         replanning policies (sub-plan kernels over the remaining
         subgraph): durations, in-degrees, and successor wiring come
-        straight from the kernel; activity ``node`` ids are translated
-        to the job's *full-graph* interning when the kernel covers a
-        subgraph, so noise draws and drift bookkeeping stay stable
-        across replans.  Registers the new activities in
-        ``jstate.task_acts`` / ``jstate.in_comms`` (resetting the
-        ``in_comms`` entry of every task the kernel covers); the caller
-        adds boundary predecessors and then activates.
+        straight from the kernel.  For a sub-plan, ``nodes`` maps each
+        kernel node to the job's *full-graph* node (tasks, then transfer
+        slots; see :attr:`JobState.plan_nodes`), so activity ``node``
+        ids, noise draws and drift bookkeeping stay stable across
+        replans.  Registers the new activities in ``jstate.task_acts`` /
+        ``jstate.in_comms`` (resetting the ``in_comms`` entry of every
+        task the kernel covers); the caller adds boundary predecessors
+        and then activates.
         """
         statics = kern.statics
-        full = jstate.statics
-        is_full = statics is full
-        if not is_full:
+        if nodes is None:
+            if statics is not jstate.statics:
+                raise ValueError("a sub-plan kernel needs its full-graph node map")
+        else:
             # a sub-plan kernel means the policy replanned mid-flight
             if self._stats is not None:
                 self._stats.inc("online.replans")
@@ -441,64 +461,59 @@ class OnlineEngine:
                 self.event_log.append((self.now, "replan", jstate.job.index))
         n = statics.num_tasks
         offset = self.now
+        task_acts, in_comms = jstate.task_acts, jstate.in_comms
+        tasks, edges, edst, edata = statics.tasks, statics.edges, statics.edst, statics.edata
+        alloc, dur, indeg, finish = kern.alloc, kern.dur, kern.indeg, kern.finish
         acts: dict[int, Activity] = {}
         for i in range(n):
-            task = statics.tasks[i]
-            act = self.new_activity(
-                jstate,
-                TASK,
-                i if is_full else full.tindex[task],
-                task,
-                kern.dur[i],
-                (kern.alloc[i],),
-            )
-            act.procs = (kern.alloc[i],)
-            act.npred = kern.indeg[i]
-            act.planned = offset + kern.finish[i]
+            ti = i if nodes is None else nodes[i]
+            p = alloc[i]
+            act = self.new_activity(jstate, TASK, ti, tasks[i], dur[i], (p,))
+            act.procs = (p,)
+            act.npred = indeg[i]
+            act.planned = offset + finish[i]
             acts[i] = act
-            jstate.task_acts[task] = act
-            jstate.in_comms[task] = []
+            task_acts[ti] = act
+            in_comms[ti] = []
         for e, (a, b) in zip(kern.hop_list, kern.hop_procs):
             node = n + e
-            u, v = statics.edges[e]
+            u, v = edges[e]
             act = self.new_activity(
                 jstate,
                 COMM,
-                node if is_full else full.num_tasks + full.eindex[(u, v)],
+                node if nodes is None else nodes[node],
                 f"{u}->{v}",
-                kern.dur[node],
+                dur[node],
                 (self.send_rid(a), self.recv_rid(b)),
             )
             act.procs = (a, b)
-            act.data = statics.edata[e]
-            act.npred = kern.indeg[node]
-            act.planned = offset + kern.finish[node]
+            act.data = edata[e]
+            act.npred = indeg[node]
+            act.planned = offset + finish[node]
             acts[node] = act
-            jstate.in_comms[v].append(act)
+            in_comms[edst[e] if nodes is None else nodes[edst[e]]].append(act)
         for node, act in acts.items():
             act.succs = [acts[s] for s in kern.one_shot_successors(node)]
         return acts
 
-    def install_plan(self, jstate: JobState, schedule) -> None:
-        """Compile a full-graph schedule into activities (open loop).
+    def install_plan(self, jstate: JobState, kern: TimedKernel) -> None:
+        """Install a propagated full-graph plan kernel as activities (open loop).
 
-        The schedule's decisions (allocation + processor / port orders)
-        become the constraint DAG of the flat kernel; every task and
-        every booked transfer becomes one activity whose predecessors
-        are exactly the kernel's constraint predecessors.  Planned
-        times (the kernel's least solution, offset to now) are stamped
-        for drift detection.
+        The kernel's decisions (allocation + processor / port orders)
+        are the constraint DAG; every task and every booked transfer
+        becomes one activity whose predecessors are exactly the kernel's
+        constraint predecessors.  Planned times (the kernel's least
+        solution, offset to now) are stamped for drift detection.  The
+        kernel is only read, so every job of one graph can share it.
         """
-        from ..simulate import extract_decisions
-
-        kern = TimedKernel.from_decisions(jstate.statics, extract_decisions(schedule))
-        kern.propagate_kahn()
-        jstate.kernel = kern
-        jstate.plan_offset = self.now
-        jstate.planned_ms = kern.makespan
-        acts = self.build_plan_activities(jstate, kern)
-        for act in acts.values():
-            self.activate(act)
+        with _obs_span("phase.online.install"):
+            jstate.kernel = kern
+            jstate.plan_nodes = None
+            jstate.plan_offset = self.now
+            jstate.planned_ms = kern.makespan
+            acts = self.build_plan_activities(jstate, kern)
+            for act in acts.values():
+                self.activate(act)
 
     # ------------------------------------------------------------------
     # result assembly
@@ -542,7 +557,7 @@ class OnlineEngine:
             placements[job.index] = [
                 (task, act.procs[0], act.start, act.finish)
                 for task, act in sorted(
-                    jstate.task_acts.items(), key=lambda kv: kv[1].seq
+                    zip(jstate.statics.tasks, jstate.task_acts), key=lambda kv: kv[1].seq
                 )
             ]
         transfers = []

@@ -30,6 +30,8 @@ Built-in policies
 Replanning never moves work the platform is already committed to: a
 task is *pinned* once it has started or any of its input transfers has
 started (shipped data is never re-shipped); everything else may move.
+A replan costs what it moves: it walks the job's per-task state by task
+index and touches the graph only around the movable tasks.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from ..core.taskgraph import TaskGraph
 from ..heuristics import get_scheduler
 from ..kernel import TimedKernel, compile_statics
 from ..models import available_models
+from ..obs import span as _obs_span
 from .engine import (
     BLOCKED,
     CANCELLED,
@@ -87,9 +90,9 @@ class Policy:
 class PlanningPolicy(Policy):
     """Shared base of the plan-carrying policies: heuristic + model.
 
-    Planning and re-planning run the heuristic through the flat builder
-    ``SchedulerState`` (every registered heuristic does, under every
-    model), so policy wake-ups pay the flat construction cost.
+    Planning and re-planning run the heuristic (any registered one)
+    through ``scheduler.run`` and compile its schedule straight into a
+    plan kernel with :meth:`TimedKernel.from_schedule`.
     """
 
     def __init__(
@@ -115,19 +118,27 @@ class PlanningPolicy(Policy):
         super().bind(engine)
         self._plan_cache = {}
 
-    def plan(self, graph):
-        """The heuristic's schedule for ``graph``, memoized per graph.
+    def plan(self, graph) -> TimedKernel:
+        """The heuristic's plan for ``graph`` as a propagated kernel,
+        memoized per graph.
 
         Workloads typically release many instances of one graph object;
         the plan is a pure function of (graph, platform, model), so one
-        heuristic run serves the whole stream.  The cache entry pins the
-        graph so an ``id()`` can never be recycled mid-run.
+        heuristic run, one kernel build and one propagation serve the
+        whole stream.  Every job of the graph shares the kernel (and the
+        graph's statics): the engine and the policies only read it, and
+        re-predictions through ``propagate_kahn(dur=...)`` leave it
+        untouched.  The cache entry pins the graph so an ``id()`` can
+        never be recycled mid-run.
         """
         hit = self._plan_cache.get(id(graph))
         if hit is None:
-            schedule = self.scheduler.run(graph, self.engine.platform, self.model)
-            self._plan_cache[id(graph)] = (graph, schedule)
-            return schedule
+            platform = self.engine.platform
+            schedule = self.scheduler.run(graph, platform, self.model)
+            kern = TimedKernel.from_schedule(compile_statics(graph, platform), schedule)
+            kern.propagate_kahn()
+            self._plan_cache[id(graph)] = (graph, kern)
+            return kern
         return hit[1]
 
     def on_arrival(self, jstate: JobState) -> None:
@@ -165,26 +176,43 @@ def movable_tasks(jstate: JobState) -> list:
     orders could contradict a dependency routed through a pinned
     in-flight task and deadlock the execution.
     """
+    tasks = jstate.statics.tasks
+    return [tasks[ti] for ti in _movable(jstate)]
+
+
+def _movable(jstate: JobState) -> list[int]:
+    """:func:`movable_tasks` as task indices."""
     statics = jstate.statics
-    task_acts = jstate.task_acts
-    in_comms = jstate.in_comms
-    esrc = statics.esrc
-    movable: set[int] = set()
+    task_acts, in_comms = jstate.task_acts, jstate.in_comms
+    esrc, pred_rows = statics.esrc, statics.pred_rows
+    # finished tasks stay finished: skip the topological order's
+    # finished prefix, remembered across calls
+    topo = statics.topo_ix
+    start = jstate.topo_done
+    while start < len(topo) and task_acts[topo[start]].state == DONE:
+        start += 1
+    jstate.topo_done = start
+    movable = bytearray(statics.num_tasks)
     out = []
-    for ti in statics.topo_ix:
-        task = statics.tasks[ti]
-        act = task_acts[task]
-        if act.state not in (BLOCKED, RELEASED):
+    for ti in topo[start:]:
+        state = task_acts[ti].state
+        if state != BLOCKED and state != RELEASED:
             continue
-        if any(c.state in (RUNNING, DONE) for c in in_comms.get(task, ())):
+        pinned = False
+        for c in in_comms[ti]:
+            state = c.state
+            if state == RUNNING or state == DONE:
+                pinned = True
+                break
+        if pinned:
             continue
-        if any(
-            e_src not in movable and task_acts[statics.tasks[e_src]].state != DONE
-            for e_src in (esrc[e] for e in statics.pred_rows[ti])
-        ):
-            continue
-        movable.add(ti)
-        out.append(task)
+        for e in pred_rows[ti]:
+            u = esrc[e]
+            if not movable[u] and task_acts[u].state != DONE:
+                break
+        else:
+            movable[ti] = 1
+            out.append(ti)
     return out
 
 
@@ -198,39 +226,55 @@ def replan_job(engine: OnlineEngine, jstate: JobState, scheduler, model) -> bool
     boundary dependencies from pinned parents (a transfer activity when
     the data must cross processors, a plain precedence edge otherwise).
     Returns False when nothing can move.
+
+    The work is proportional to the movable set, apart from one walk
+    over the job's per-task states: cancellation, the subgraph and the
+    boundary wiring are all reached through the movable tasks' CSR rows.
     """
-    movable_order = movable_tasks(jstate)
+    movable_order = _movable(jstate)
     if not movable_order:
         return False
-    movable = set(movable_order)
+    with _obs_span("phase.online.replan"):
+        _replan(engine, jstate, scheduler, model, movable_order)
+    return True
+
+
+def _replan(engine: OnlineEngine, jstate: JobState, scheduler, model, movable_order) -> None:
+    """:func:`replan_job` once the movable set (topological order) is known."""
     graph = jstate.job.graph
     statics = jstate.statics
+    n = statics.num_tasks
+    tasks, esrc, edst, edata = statics.tasks, statics.esrc, statics.edst, statics.edata
+    succ_rows, pred_rows = statics.succ_rows, statics.pred_rows
+    task_acts, in_comms = jstate.task_acts, jstate.in_comms
     now = engine.now
+    movable = bytearray(n)
+    for ti in movable_order:
+        movable[ti] = 1
+    order = sorted(movable_order)
 
     # -- cancel the movable closure ------------------------------------
     # in topological order: the cancellations order the releases they
     # trigger, so a set's hash order would leak into the event log
     cancelled = []
-    for task in movable_order:
-        act = jstate.task_acts[task]
+    for ti in movable_order:
+        act = task_acts[ti]
         act.state = CANCELLED
         cancelled.append(act)
-        for c in jstate.in_comms.get(task, ()):
-            if c.state in (BLOCKED, RELEASED):
+        for c in in_comms[ti]:
+            if c.state == BLOCKED or c.state == RELEASED:
                 c.state = CANCELLED
                 cancelled.append(c)
     # transfers sourced by a movable task feed pinned consumers; they
     # cannot have started (their source has not finished) and their
-    # endpoints are stale once the source moves
-    for task, comms in jstate.in_comms.items():
-        if task in movable:
-            continue
-        for c in comms:
-            if c.state in (BLOCKED, RELEASED):
-                e = c.node - statics.num_tasks
-                if statics.tasks[statics.esrc[e]] in movable:
-                    c.state = CANCELLED
-                    cancelled.append(c)
+    # endpoints are stale once the source moves.  Consumers go in task
+    # index order, the order the engine registered them in.
+    consumers = sorted({edst[e] for ti in order for e in succ_rows[ti] if not movable[edst[e]]})
+    for vi in consumers:
+        for c in in_comms[vi]:
+            if (c.state == BLOCKED or c.state == RELEASED) and movable[esrc[c.node - n]]:
+                c.state = CANCELLED
+                cancelled.append(c)
     # surviving blocked activities that waited on a cancelled one lose
     # that predecessor (the new plan re-adds boundary edges explicitly)
     released_now = []
@@ -242,56 +286,57 @@ def replan_job(engine: OnlineEngine, jstate: JobState, scheduler, model) -> bool
                     released_now.append(succ)
 
     # -- re-plan the remaining subgraph --------------------------------
+    # tasks in index order, then each task's out-edges among them in
+    # edge order: the order of graph.edges(), so sub-plan edge j is
+    # full-graph edge sub_edges[j]
     sub = TaskGraph(name=f"{graph.name}@t{now:g}")
-    order = [v for v in statics.tasks if v in movable]
-    for v in order:
-        sub.add_task(v, graph.weight(v))
-    for u, v in graph.edges():
-        if u in movable and v in movable:
-            sub.add_dependency(u, v, graph.data(u, v))
-    schedule = scheduler.run(sub, engine.platform, model)
-
-    from ..simulate import extract_decisions
-
-    sub_statics = compile_statics(sub, engine.platform)
-    kern = TimedKernel.from_decisions(sub_statics, extract_decisions(schedule))
+    weights = statics.weights
+    for ti in order:
+        sub.add_task(tasks[ti], weights[ti])
+    sub_edges = []
+    for ti in order:
+        for e in succ_rows[ti]:
+            if movable[edst[e]]:
+                sub.add_dependency(tasks[ti], tasks[edst[e]], edata[e])
+                sub_edges.append(e)
+    platform = engine.platform
+    schedule = scheduler.run(sub, platform, model)
+    kern = TimedKernel.from_schedule(compile_statics(sub, platform), schedule)
     kern.propagate_kahn()
+    nodes = order + [n + e for e in sub_edges]
     jstate.kernel = kern
+    jstate.plan_nodes = nodes
     jstate.plan_offset = now
     jstate.planned_ms = kern.makespan
     jstate.reschedules += 1
-    acts = engine.build_plan_activities(jstate, kern)
+    acts = engine.build_plan_activities(jstate, kern, nodes)
 
     # -- boundary dependencies from pinned parents ---------------------
-    platform = engine.platform
-    for v in order:
-        v_act = jstate.task_acts[v]
-        ti = sub_statics.tindex[v]
-        for u in graph.predecessors(v):
-            if u in movable:
-                continue  # handled by the sub-plan
-            u_act = jstate.task_acts[u]
+    for i, vi in enumerate(order):
+        boundary = [e for e in pred_rows[vi] if not movable[esrc[e]]]
+        if not boundary:
+            continue
+        v = tasks[vi]
+        if len(boundary) > 1:
+            # graph.predecessors order (edge insertion; pred_rows go by
+            # edge index): it fixes the new activities' sequence numbers
+            rank = {u: k for k, u in enumerate(graph.predecessors(v))}
+            boundary.sort(key=lambda e: rank[tasks[esrc[e]]])
+        v_act = task_acts[vi]
+        p_v = kern.alloc[i]
+        for e in boundary:
+            ui = esrc[e]
+            u_act = task_acts[ui]
             p_u = u_act.procs[0]
-            p_v = kern.alloc[ti]
             if p_u == p_v:
                 if u_act.state != DONE:
                     u_act.succs.append(v_act)
                     v_act.npred += 1
                 continue
-            data = graph.data(u, v)
-            c = engine.new_activity(
-                jstate,
-                COMM,
-                statics.num_tasks + statics.eindex[(u, v)],
-                f"{u}->{v}",
-                platform.comm_time(data, p_u, p_v),
-                (engine.send_rid(p_u), engine.recv_rid(p_v)),
-            )
-            c.procs = (p_u, p_v)
-            c.data = data
+            c = _boundary_comm(engine, jstate, e, p_u, p_v)
             c.succs = [v_act]
             v_act.npred += 1
-            jstate.in_comms[v].append(c)
+            in_comms[vi].append(c)
             if u_act.state == DONE:
                 engine.activate(c)
             else:
@@ -302,41 +347,48 @@ def replan_job(engine: OnlineEngine, jstate: JobState, scheduler, model) -> bool
     # a movable task may feed a task that is pinned (e.g. its other
     # input transfer already started); the cancelled transfer between
     # them must be re-established from the source's new placement
-    for u in order:
-        u_act = jstate.task_acts[u]
+    for ui in order:
+        u_act = task_acts[ui]
         p_u = u_act.procs[0]
-        for v in graph.successors(u):
-            if v in movable:
+        for e in succ_rows[ui]:  # graph.successors order
+            vi = edst[e]
+            if movable[vi]:
                 continue
-            v_act = jstate.task_acts[v]
+            v_act = task_acts[vi]
             p_v = v_act.procs[0]
             if p_u == p_v:
                 u_act.succs.append(v_act)
                 v_act.npred += 1
                 continue
-            data = graph.data(u, v)
-            c = engine.new_activity(
-                jstate,
-                COMM,
-                statics.num_tasks + statics.eindex[(u, v)],
-                f"{u}->{v}",
-                platform.comm_time(data, p_u, p_v),
-                (engine.send_rid(p_u), engine.recv_rid(p_v)),
-            )
-            c.procs = (p_u, p_v)
-            c.data = data
+            c = _boundary_comm(engine, jstate, e, p_u, p_v)
             c.npred = 1
             c.succs = [v_act]
             v_act.npred += 1
             u_act.succs.append(c)
-            jstate.in_comms[v].append(c)
+            in_comms[vi].append(c)
 
     for act in acts.values():
         engine.activate(act)
     for act in released_now:
         if act.state == BLOCKED and not act.npred:
             engine.activate(act)
-    return True
+
+
+def _boundary_comm(engine: OnlineEngine, jstate: JobState, e: int, p_u: int, p_v: int):
+    """A blocked transfer activity for full-graph edge ``e``, ``p_u -> p_v``."""
+    statics = jstate.statics
+    u, v = statics.edges[e]
+    c = engine.new_activity(
+        jstate,
+        COMM,
+        statics.num_tasks + e,
+        f"{u}->{v}",
+        statics.comm_dur(e, p_u, p_v),
+        (engine.send_rid(p_u), engine.recv_rid(p_v)),
+    )
+    c.procs = (p_u, p_v)
+    c.data = statics.edata[e]
+    return c
 
 
 class PeriodicPolicy(PlanningPolicy):
@@ -409,15 +461,9 @@ class ReactivePolicy(PlanningPolicy):
         """Durations of the current plan kernel with every observed one
         substituted, and the full-graph node -> kernel node map (``None``
         when the kernel covers the full graph: ids coincide)."""
-        kern, full = jstate.kernel, jstate.statics
-        statics = kern.statics
-        index = None
-        if statics is not full:
-            # sub-plan kernel: activity node ids are full-graph ids
-            n_sub, n_full = statics.num_tasks, full.num_tasks
-            index = {full.tindex[task]: i for i, task in enumerate(statics.tasks)}
-            for e, edge in enumerate(statics.edges):
-                index[n_full + full.eindex[edge]] = n_sub + e
+        kern, nodes = jstate.kernel, jstate.plan_nodes
+        # sub-plan kernel: activity node ids are full-graph ids
+        index = None if nodes is None else {node: i for i, node in enumerate(nodes)}
         dur = list(kern.dur)
         for node, d in jstate.data["observed"].items():
             i = node if index is None else index.get(node)
@@ -477,7 +523,6 @@ class ReadyDispatchPolicy(Policy):
     def on_arrival(self, jstate: JobState) -> None:
         graph = jstate.job.graph
         jstate.data["indeg"] = {v: graph.in_degree(v) for v in graph.tasks()}
-        jstate.in_comms = {}
         for v in graph.tasks():
             if not jstate.data["indeg"][v]:
                 self._dispatch(jstate, v)
@@ -501,7 +546,7 @@ class ReadyDispatchPolicy(Policy):
         # parents are all DONE (that is what made the task ready)
         parents = []
         for e in statics.pred_rows[ti]:
-            p_act = jstate.task_acts[statics.tasks[statics.esrc[e]]]
+            p_act = jstate.task_acts[statics.esrc[e]]
             parents.append((p_act.finish, e, p_act))
         parents.sort(key=lambda it: (it[0], it[1]))
 
@@ -534,8 +579,8 @@ class ReadyDispatchPolicy(Policy):
         key, p, booked, send_over, recv_est = best
         act = engine.new_activity(jstate, TASK, ti, task, exec_row[p], (p,))
         act.procs = (p,)
-        jstate.task_acts[task] = act
-        comms = jstate.in_comms.setdefault(task, [])
+        jstate.task_acts[ti] = act
+        comms = jstate.in_comms[ti] = []
         for e, p_act, _s, _f in booked:
             pp = p_act.procs[0]
             c = engine.new_activity(

@@ -122,6 +122,13 @@ class TestQueries:
         assert g.total_weight() == 10.0
         assert g.total_data() == 100.0
 
+    def test_total_weight_sums_left_to_right(self):
+        """3.11's ``sum()`` float on every version: 3.12+ would give 1.0."""
+        g = TaskGraph()
+        for i in range(10):
+            g.add_task(i, 0.1)
+        assert g.total_weight().hex() == "0x1.fffffffffffffp-1"
+
     def test_unknown_task_raises(self):
         g = diamond()
         with pytest.raises(GraphError):

@@ -5,7 +5,7 @@ import pytest
 from repro import HEFT, ILHA, ILHAClassic, Platform, TunedILHA, validate_schedule
 from repro.core import ConfigurationError, TaskGraph
 from repro.graphs import laplace_graph, lu_graph, toy_graph, toy_priority_key
-from repro.heuristics.ilha import default_chunk_size
+from repro.heuristics.ilha import _ChunkBudget, default_chunk_size
 
 
 class TestConfiguration:
@@ -121,6 +121,18 @@ class TestStepOne:
         # both valid; they generally differ in placements
         assert counts.is_complete() and weights.is_complete()
 
+
+    def test_weights_budget_sums_left_to_right(self, paper_platform):
+        """The chunk weight is summed left to right from 0.0, the float
+        of ``sum()`` on 3.11: from 3.12 on ``sum()`` compensates its
+        rounding and gives 1.0 for ten 0.1 weights, which moves every
+        per-processor limit, and so Step 1's placements, by one ulp."""
+        budget = _ChunkBudget("weights", [0.1] * 10, paper_platform.cycle_times, {})
+        assert [x.hex() for x in budget.tracker.limits] == (
+            ["0x1.0d79435e50d78p-3"] * 5
+            + ["0x1.435e50d79435ep-4"] * 3
+            + ["0x1.af286bca1af28p-5"] * 2
+        )
 
     def test_counts_budget_once_per_chunk_length(self, paper_platform, monkeypatch):
         """The read-only counts budget is computed once per distinct

@@ -126,6 +126,36 @@ def test_online_engine_identical_with_stats():
     assert stats.counters["online.activities"] > 0
 
 
+def test_online_replan_and_install_spans():
+    """Each replan that moves tasks and each plan install records one
+    span, and the run's decisions are those of a run without a collector."""
+    from repro.core import TaskGraph
+    from repro.experiments import paper_platform
+    from repro.online import Job, Workload, make_workload, simulate_online
+
+    jobs = list(make_workload("lu", 8, 6, arrival="burst:size=3,gap=60", seed=2))
+    jobs.append(Job(len(jobs), "empty", TaskGraph(), 61.0))  # no plan to install
+
+    def run():
+        return simulate_online(
+            Workload(jobs),
+            paper_platform(),
+            policy="reactive:threshold=0.05",
+            noise="straggler:prob=0.15,factor=8,sigma=0",
+            seed=3,
+        )
+
+    off = run()
+    with collect() as stats:
+        on = run()
+    assert on.event_log == off.event_log
+    replans = sum(j.reschedules for j in on.jobs)
+    assert replans > 0
+    assert stats.timers["phase.online.replan"][0] == replans
+    assert stats.timers["phase.online.install"][0] == sum(1 for j in on.jobs if j.tasks)
+    assert sum(1 for j in on.jobs if j.tasks) == len(jobs) - 1
+
+
 def test_campaign_cells_identical_with_stats():
     from repro.campaign import CampaignSpec, HeuristicSpec, run_campaign
 

@@ -1,6 +1,7 @@
 """Engine behavior: determinism, contention validity, policy reactions."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core import TaskGraph
 from repro.core.exceptions import ConfigurationError
-from repro.graphs import lu_graph
+from repro.graphs import irregular_testbed, lu_graph
+from repro.kernel import TimedKernel, compile_statics
+from repro.online import policies
 from repro.online import (
     Job,
     OnlineEngine,
@@ -191,6 +195,79 @@ class TestReactions:
         check_execution(result)
         assert sum(j.reschedules for j in result.jobs) > 0
         assert True in checks and False in checks, "expected full and sub-plan kernels"
+
+    def test_one_plan_kernel_per_graph_never_written(self, paper_platform,
+                                                     contended_workload):
+        """Every job of a graph installs the policy's one cached plan
+        kernel.  Re-predictions and replans only read it, so after a
+        noisy reactive stream it still equals a freshly compiled one."""
+        installed = []
+
+        class Recording(ReactivePolicy):
+            def on_arrival(self, jstate):
+                super().on_arrival(jstate)
+                installed.append(jstate.kernel)
+
+        policy = Recording(threshold=0.05)
+        result = simulate_online(contended_workload, paper_platform, policy=policy,
+                                 noise="lognormal:sigma=0.3", seed=7)
+        check_execution(result)
+        assert sum(j.reschedules for j in result.jobs) > 0
+        graph = contended_workload.jobs[0].graph
+        cached = policy.plan(graph)
+        assert len(installed) == len(contended_workload)
+        assert all(kern is cached for kern in installed)
+        fresh = TimedKernel.from_schedule(
+            compile_statics(graph, paper_platform),
+            policy.scheduler.run(graph, paper_platform, policy.model),
+        )
+        fresh.propagate_kahn()
+        assert cached.start == fresh.start
+        assert cached.finish == fresh.finish
+        assert cached.dur == fresh.dur
+        assert cached.makespan == fresh.makespan
+
+    def test_boundary_transfers_follow_predecessor_order(self, paper_platform,
+                                                         monkeypatch):
+        """A replan creates a moved task's transfers from pinned parents
+        in ``graph.predecessors`` order (edge insertion), not in edge
+        index order: that order fixes their sequence numbers, and so
+        which of them a busy receive port serves first.  The graph's
+        edges are inserted shuffled, so the two orders differ."""
+        base = irregular_testbed(40, seed=3)
+        edges = list(base.edges())
+        random.Random(0).shuffle(edges)
+        graph = TaskGraph()
+        for v in base.tasks():
+            graph.add_task(v, base.weight(v))
+        for u, v in edges:
+            graph.add_dependency(u, v, base.data(u, v))
+        checked = []
+        real = policies.replan_job
+
+        def checking(engine, jstate, scheduler, model):
+            moving = set(policies.movable_tasks(jstate))
+            seq0 = engine._aseq
+            moved = real(engine, jstate, scheduler, model)
+            st = jstate.statics
+            for v in moving:
+                new = sorted(
+                    (c for c in jstate.in_comms[st.tindex[v]]
+                     if c.seq > seq0 and st.edges[c.node - st.num_tasks][0] not in moving),
+                    key=lambda c: c.seq,
+                )
+                sources = [st.edges[c.node - st.num_tasks][0] for c in new]
+                assert sources == [u for u in graph.predecessors(v) if u in sources]
+                if len(sources) > 1:
+                    checked.append(v)
+            return moved
+
+        monkeypatch.setattr(policies, "replan_job", checking)
+        wl = Workload([Job(i, f"j{i}", graph, 40.0 * i) for i in range(4)])
+        result = simulate_online(wl, paper_platform, policy="periodic:period=60",
+                                 noise="straggler:prob=0.15,factor=8,sigma=0", seed=1)
+        check_execution(result)
+        assert checked, "expected several pinned-parent transfers into one moved task"
 
     def test_replanning_through_pinned_interior_tasks(self, paper_platform):
         """Regression: movability must be transitively closed.
